@@ -1,5 +1,7 @@
 """Command-line surface: corpus -> pairs -> training -> evaluation.
 
+The config keys are the fields of the config dataclasses, with their types
+and defaults, plus the few run-level keys in RUN_DEFAULTS; each is a flag.
 Every command resolves its configuration from (in increasing precedence)
 built-in defaults, an optional --preset, an optional key=value config
 file, and command-line flags, then prints the fully resolved config with
@@ -13,12 +15,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import typing
+from dataclasses import fields
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 from . import corpus as corpus_mod
 from . import evaluation as ev
+from .config import parse_value
 from .encoder import EncoderConfig, embed_texts
 from .loss import LossConfig
 from .pairs import PairBuildConfig, build_pairs, load_pair_file, save_pair_file
@@ -30,33 +36,29 @@ from .trainer import (
     train,
 )
 
-DEFAULTS: dict[str, object] = {
-    "vocab_size": 30000,
-    "hash_seed": 0,
-    "embed_dim": 64,
-    "head_hidden": 64,
-    "head_out": 32,
-    "dropout_rate": 0.1,
-    "temperature": 0.05,
-    "hard_negatives": True,
-    "positive_in_denominator": True,
-    "batch_size": 128,
-    "epochs": 15,
-    "lr_head": 3e-4,
-    "lr_backbone": 3e-3,
-    "shuffle_seed": 0,
-    "init_seed": 0,
-    "dropout_seed": 0,
+# Run-level keys that belong to no config dataclass.
+RUN_DEFAULTS: dict[str, object] = {
     "seed": 0,
     "shots": 1,
-    "threshold_rule": "mean",
-    "stats_population": "test_all",
     "n_candidates": 100,
-    "max_history_tokens": 32,
     "probe_epochs": 200,
     "probe_lr": 1.0,
     "apply_length_filter": True,
 }
+
+CONFIG_CLASSES = (EncoderConfig, LossConfig, TrainConfig, ev.OOSConfig)
+
+
+def _schema() -> dict[str, tuple[type, object]]:
+    """Every CLI key -> (type, default): the run-level keys plus each config-dataclass field."""
+    schema = {key: (type(value), value) for key, value in RUN_DEFAULTS.items()}
+    for cls in CONFIG_CLASSES:
+        types = typing.get_type_hints(cls)
+        schema.update((f.name, (types[f.name], f.default)) for f in fields(cls))
+    return schema
+
+
+SCHEMA = _schema()
 
 PRESETS: dict[str, dict[str, object]] = {
     "paper": {
@@ -72,37 +74,15 @@ PRESETS: dict[str, dict[str, object]] = {
     },
 }
 
-_BOOL_KEYS = {"hard_negatives", "positive_in_denominator", "apply_length_filter"}
-_INT_KEYS = {
-    "vocab_size", "hash_seed", "embed_dim", "head_hidden", "head_out", "batch_size",
-    "epochs", "shuffle_seed", "init_seed", "dropout_seed", "seed", "shots",
-    "n_candidates", "max_history_tokens", "probe_epochs",
-}
-_FLOAT_KEYS = {"dropout_rate", "temperature", "lr_head", "lr_backbone", "probe_lr"}
-
-
-def _coerce(key: str, raw: str) -> object:
-    if key in _BOOL_KEYS:
-        if raw.lower() in ("1", "true", "yes"):
-            return True
-        if raw.lower() in ("0", "false", "no"):
-            return False
-        raise ValueError(f"field {key!r}: expected a boolean, got {raw!r}")
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    return raw
-
 
 class RunConfig:
     """Resolved configuration with per-field provenance."""
 
     def __init__(self) -> None:
-        self.values = dict(DEFAULTS)
-        self.provenance = {k: "default" for k in DEFAULTS}
+        self.values = {key: default for key, (_, default) in SCHEMA.items()}
+        self.provenance = dict.fromkeys(SCHEMA, "default")
         if "DSE_SEED" in os.environ:
-            self.values["seed"] = int(os.environ["DSE_SEED"])
+            self.values["seed"] = parse_value("seed", int, os.environ["DSE_SEED"])
             self.provenance["seed"] = "env"
 
     def apply_preset(self, name: str) -> None:
@@ -121,50 +101,27 @@ class RunConfig:
                     continue
                 key, sep, raw = line.partition("=")
                 key = key.strip()
-                if not sep or key not in DEFAULTS:
+                if not sep or key not in SCHEMA:
                     raise ValueError(f"{path}:{lineno}: unknown config field {key!r}")
-                self.values[key] = _coerce(key, raw.strip())
+                self.values[key] = parse_value(key, SCHEMA[key][0], raw.strip())
                 self.provenance[key] = "config-file"
 
     def apply_flags(self, args: argparse.Namespace) -> None:
-        for key in DEFAULTS:
+        for key in SCHEMA:
             val = getattr(args, key, None)
             if val is not None:
                 self.values[key] = val
                 self.provenance[key] = "flag"
 
-    def dump(self, out=None) -> None:
-        out = out if out is not None else sys.stdout
+    def dump(self) -> None:
         for key in sorted(self.values):
-            out.write(f"{key}={self.values[key]}  # {self.provenance[key]}\n")
+            value = self.values[key]
+            shown = value.value if isinstance(value, Enum) else value
+            print(f"{key}={shown}  # {self.provenance[key]}")
 
-    def encoder_config(self) -> EncoderConfig:
-        v = self.values
-        return EncoderConfig(
-            vocab_size=v["vocab_size"], embed_dim=v["embed_dim"], head_hidden=v["head_hidden"],
-            head_out=v["head_out"], dropout_rate=v["dropout_rate"], hash_seed=v["hash_seed"],
-        )
-
-    def loss_config(self) -> LossConfig:
-        v = self.values
-        return LossConfig(
-            temperature=v["temperature"], hard_negatives=v["hard_negatives"],
-            positive_in_denominator=v["positive_in_denominator"],
-        )
-
-    def train_config(self) -> TrainConfig:
-        v = self.values
-        return TrainConfig(
-            batch_size=v["batch_size"], epochs=v["epochs"], lr_head=v["lr_head"],
-            lr_backbone=v["lr_backbone"], shuffle_seed=v["shuffle_seed"],
-            init_seed=v["init_seed"], dropout_seed=v["dropout_seed"],
-        )
-
-    def oos_config(self) -> ev.OOSConfig:
-        return ev.OOSConfig(
-            threshold_rule=ev.ThresholdRule(self.values["threshold_rule"]),
-            stats_population=ev.StatsPopulation(self.values["stats_population"]),
-        )
+    def build(self, cls):
+        """An instance of config dataclass ``cls`` from the resolved values."""
+        return cls(**{f.name: self.values[f.name] for f in fields(cls)})
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
@@ -201,10 +158,7 @@ def cmd_build_pairs(args, cfg: RunConfig) -> int:
         pairs = load_pair_file(args.infile)
     else:
         dialogues = corpus_mod.load_corpus(args.infile)
-        pcfg = PairBuildConfig(
-            query_widths=frozenset({1, 2, 3}) if args.strategy == "combined" else frozenset({1}),
-            apply_length_filter=cfg.values["apply_length_filter"],
-        )
+        pcfg = PairBuildConfig(apply_length_filter=cfg.values["apply_length_filter"])
         pairs = build_pairs(dialogues, args.strategy, pcfg)
     save_pair_file(pairs, args.out)
     print(f"wrote {len(pairs)} pairs to {args.out}")
@@ -218,7 +172,8 @@ def cmd_train(args, cfg: RunConfig) -> int:
         out_dir = Path(args.epoch_ckpt_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         hooks.append(lambda ckpt, losses: save_checkpoint(ckpt, out_dir / f"epoch{ckpt.epoch:03d}.ckpt"))
-    result = train(pairs, cfg.encoder_config(), cfg.loss_config(), cfg.train_config(), hooks=hooks)
+    result = train(pairs, cfg.build(EncoderConfig), cfg.build(LossConfig), cfg.build(TrainConfig),
+                   hooks=hooks)
     save_checkpoint(result.checkpoint, args.out)
     for epoch, loss_value in enumerate(result.epoch_losses, start=1):
         print(f"epoch {epoch}: mean loss {loss_value:.6f}")
@@ -244,8 +199,7 @@ def cmd_inspect(args, cfg: RunConfig) -> int:
 
 
 def cmd_eval_intent(args, cfg: RunConfig) -> int:
-    ckpt = load_checkpoint(args.ckpt)
-    embedder = _make_embedder(ckpt)
+    embedder = _make_embedder(load_checkpoint(args.ckpt))
     full = ev.load_labeled_tsv(args.data)
     seed = cfg.values["seed"]
     support, validation = ev.sample_few_shot(full, cfg.values["shots"], seed)
@@ -254,14 +208,11 @@ def cmd_eval_intent(args, cfg: RunConfig) -> int:
     acc = float(np.mean([p == g for (p, _), (_, g) in zip(preds, validation.items)]))
     report = ev.EvalReport(task="intent_classification", metrics={"Accuracy": acc},
                            support=len(validation.items), seed=seed)
-    print(report.to_text(), end="")
-    _maybe_write_report(report, args)
-    return 0
+    return _report(report, args)
 
 
 def cmd_eval_oos(args, cfg: RunConfig) -> int:
-    ckpt = load_checkpoint(args.ckpt)
-    embedder = _make_embedder(ckpt)
+    embedder = _make_embedder(load_checkpoint(args.ckpt))
     full = ev.load_labeled_tsv(args.data)
     # The label literally named "oos" marks out-of-scope gold.
     oos_id = full.label_names.index("oos") if "oos" in full.label_names else None
@@ -272,42 +223,33 @@ def cmd_eval_oos(args, cfg: RunConfig) -> int:
     support, _ = ev.sample_few_shot(in_set, cfg.values["shots"], seed)
     protos = ev.build_prototypes(support, embedder)
     queries = [t for t, _ in full.items]
-    preds = ev.detect_oos(queries, protos, cfg.oos_config(), embedder,
+    preds = ev.detect_oos(queries, protos, cfg.build(ev.OOSConfig), embedder,
                           gold_is_oos=[g == ev.OOS_LABEL for g in gold])
     report = ev.oos_metrics(gold, preds)
     report.seed = seed
-    print(report.to_text(), end="")
-    _maybe_write_report(report, args)
-    return 0
+    return _report(report, args)
 
 
 def cmd_eval_rank(args, cfg: RunConfig) -> int:
-    ckpt = load_checkpoint(args.ckpt)
-    embedder = _make_embedder(ckpt)
+    embedder = _make_embedder(load_checkpoint(args.ckpt))
     pairs = load_pair_file(args.data)
     queries = [p.query for p in pairs]
     golds = [p.response for p in pairs]
     report = ev.rank_topk(queries, golds, golds, embedder,
                           n_candidates=cfg.values["n_candidates"], seed=cfg.values["seed"])
-    print(report.to_text(), end="")
-    _maybe_write_report(report, args)
-    return 0
+    return _report(report, args)
 
 
 def cmd_eval_nli(args, cfg: RunConfig) -> int:
-    ckpt = load_checkpoint(args.ckpt)
-    embedder = _make_embedder(ckpt)
+    embedder = _make_embedder(load_checkpoint(args.ckpt))
     triples = ev.load_nli_tsv(args.data)
     acc = ev.nli_probe(triples, embedder)
     report = ev.EvalReport(task="nli_probe", metrics={"Accuracy": acc}, support=len(triples))
-    print(report.to_text(), end="")
-    _maybe_write_report(report, args)
-    return 0
+    return _report(report, args)
 
 
 def cmd_eval_actions(args, cfg: RunConfig) -> int:
-    ckpt = load_checkpoint(args.ckpt)
-    embedder = _make_embedder(ckpt)
+    embedder = _make_embedder(load_checkpoint(args.ckpt))
     train_items, names = ev.load_multilabel_tsv(args.train_data)
     test_items, test_names = ev.load_multilabel_tsv(args.data)
     if test_names != names:
@@ -320,9 +262,7 @@ def cmd_eval_actions(args, cfg: RunConfig) -> int:
     report = ev.EvalReport(task="action_prediction",
                            metrics={"Micro-F1": micro, "Macro-F1": macro},
                            support=len(test_items))
-    print(report.to_text(), end="")
-    _maybe_write_report(report, args)
-    return 0
+    return _report(report, args)
 
 
 def run_epoch_study(
@@ -370,7 +310,7 @@ def cmd_epoch_study(args, cfg: RunConfig) -> int:
     dialogues = corpus_mod.load_corpus(args.infile)
     intent_set = ev.load_labeled_tsv(args.intent_data)
     results = run_epoch_study(
-        dialogues, cfg.encoder_config(), cfg.loss_config(), cfg.train_config(),
+        dialogues, cfg.build(EncoderConfig), cfg.build(LossConfig), cfg.build(TrainConfig),
         intent_set, shots=cfg.values["shots"], eval_seed=cfg.values["seed"],
     )
     for strategy, rows in results.items():
@@ -385,28 +325,31 @@ def cmd_epoch_study(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _maybe_write_report(report: ev.EvalReport, args) -> None:
+def _report(report: ev.EvalReport, args) -> int:
+    """Print the report, and write it as JSON to --out when given."""
+    print(report.to_text(), end="")
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(report.to_json() + "\n")
+    return 0
 
 
 # --- argument parsing ------------------------------------------------------
 
+def _flag_type(key: str, typ: type):
+    def convert(raw: str) -> object:
+        try:
+            return parse_value(key, typ, raw)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return convert
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--preset", choices=sorted(PRESETS))
     parser.add_argument("--config", help="key=value config file")
-    for key in _INT_KEYS:
-        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int)
-    for key in _FLOAT_KEYS:
-        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, type=float)
-    for key in _BOOL_KEYS:
-        parser.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                            type=lambda s, k=key: _coerce(k, s))
-    parser.add_argument("--threshold-rule", dest="threshold_rule",
-                        choices=["mean", "mean_minus_std"])
-    parser.add_argument("--stats-population", dest="stats_population",
-                        choices=["test_all", "test_in_only"])
+    for key, (typ, _) in SCHEMA.items():
+        parser.add_argument(f"--{key.replace('_', '-')}", dest=key, type=_flag_type(key, typ))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -488,7 +431,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _resolve(args)
         return args.func(args, cfg)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

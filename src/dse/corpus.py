@@ -140,6 +140,27 @@ def load_corpus(path: str | Path) -> list[Dialogue]:
     return dialogues
 
 
+def read_tsv(
+    path: str | Path, num_fields: int, error: type[ValueError] = CorpusFormatError
+) -> list[tuple[int, list[str]]]:
+    """(1-based line number, fields) for each data line of a TAB-separated file.
+
+    Blank lines and lines starting with '#' are skipped. A line with any
+    other field count raises ``error`` naming its line number.
+    """
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split("\t")
+            if len(fields) != num_fields:
+                raise error(f"line {lineno}: expected {num_fields} tab-separated fields, got {len(fields)}")
+            rows.append((lineno, fields))
+    return rows
+
+
 def _parse_dialogue(obj: object) -> Dialogue:
     if not isinstance(obj, dict):
         raise ValueError("expected a JSON object")

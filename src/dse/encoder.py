@@ -28,7 +28,7 @@ class ForwardMode(Enum):
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    vocab_size: int
+    vocab_size: int = 30000
     embed_dim: int = 64
     head_hidden: int = 64
     head_out: int = 32
@@ -54,19 +54,6 @@ class EncoderModel:
     def param_items(self) -> list[tuple[str, np.ndarray]]:
         return [("E", self.E), ("W1", self.W1), ("b1", self.b1), ("W2", self.W2), ("b2", self.b2)]
 
-    def astype(self, dtype) -> "EncoderModel":
-        return EncoderModel(
-            config=self.config,
-            E=self.E.astype(dtype),
-            W1=self.W1.astype(dtype),
-            b1=self.b1.astype(dtype),
-            W2=self.W2.astype(dtype),
-            b2=self.b2.astype(dtype),
-        )
-
-    def copy(self) -> "EncoderModel":
-        return self.astype(self.E.dtype)
-
 
 @dataclass
 class GradientSet:
@@ -91,22 +78,30 @@ class ForwardTape:
     hidden: np.ndarray    # n x head_hidden, tanh output pre-dropout
 
 
+def param_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of each parameter group, in the fixed order E, W1, b1, W2, b2."""
+    return {
+        "E": (cfg.vocab_size, cfg.embed_dim),
+        "W1": (cfg.embed_dim, cfg.head_hidden),
+        "b1": (cfg.head_hidden,),
+        "W2": (cfg.head_hidden, cfg.head_out),
+        "b2": (cfg.head_out,),
+    }
+
+
 def init_model(cfg: EncoderConfig, seed: int, dtype=np.float32) -> EncoderModel:
-    """Uniform init on [-1/sqrt(fan_in), 1/sqrt(fan_in)] per matrix; zero biases."""
+    """Uniform init on [-1/sqrt(fan_in), 1/sqrt(fan_in)] per matrix; zero biases.
+
+    fan_in is a matrix's row count; E, W1 and W2 draw from one generator in that order."""
     rng = np.random.default_rng(seed)
-
-    def uniform(fan_in: int, shape: tuple[int, int]) -> np.ndarray:
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape).astype(dtype)
-
-    return EncoderModel(
-        config=cfg,
-        E=uniform(cfg.vocab_size, (cfg.vocab_size, cfg.embed_dim)),
-        W1=uniform(cfg.embed_dim, (cfg.embed_dim, cfg.head_hidden)),
-        b1=np.zeros(cfg.head_hidden, dtype=dtype),
-        W2=uniform(cfg.head_hidden, (cfg.head_hidden, cfg.head_out)),
-        b2=np.zeros(cfg.head_out, dtype=dtype),
-    )
+    params = {}
+    for name, shape in param_shapes(cfg).items():
+        if len(shape) == 1:
+            params[name] = np.zeros(shape, dtype=dtype)
+        else:
+            bound = 1.0 / np.sqrt(shape[0])
+            params[name] = rng.uniform(-bound, bound, size=shape).astype(dtype)
+    return EncoderModel(config=cfg, **params)
 
 
 def _pool(model: EncoderModel, token_seqs: list[TokenSeq]) -> np.ndarray:
@@ -169,9 +164,7 @@ def replay_forward(model: EncoderModel, tape: ForwardTape) -> np.ndarray:
 
     Used by the finite-difference oracle: perturbed parameters, same masks.
     """
-    from .corpus import TokenSeq as _TS
-
-    seqs = [_TS(ids=ids, word_count=len(ids)) for ids in tape.token_ids]
+    seqs = [TokenSeq(ids=ids, word_count=len(ids)) for ids in tape.token_ids]
     pooled = _pool(model, seqs)
     pooled_d = pooled * tape.drop1.astype(pooled.dtype)
     hidden = np.tanh(pooled_d @ model.W1 + model.b1)

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .corpus import SYS_TOKEN, USR_TOKEN, Speaker, Turn
+from .corpus import SYS_TOKEN, USR_TOKEN, Speaker, Turn, read_tsv
 from .loss import cosine_sim
 
 Embedder = Callable[[list[str]], np.ndarray]
@@ -423,16 +423,7 @@ def load_embeddings(path: str | Path) -> np.ndarray:
 
 def load_labeled_tsv(path: str | Path) -> LabeledSet:
     """Single-label TSV: text<TAB>label_name per line."""
-    items: list[tuple[str, str]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ValueError(f"line {lineno}: expected 2 tab-separated fields")
-            items.append((fields[0], fields[1]))
+    items = [(text, label) for _, (text, label) in read_tsv(path, 2)]
     names = sorted({label for _, label in items})
     index = {name: i for i, name in enumerate(names)}
     return LabeledSet(
@@ -443,17 +434,7 @@ def load_labeled_tsv(path: str | Path) -> LabeledSet:
 
 def load_multilabel_tsv(path: str | Path) -> tuple[list[tuple[str, np.ndarray]], list[str]]:
     """Multi-label TSV: text<TAB>l1,l2,... per line; returns bitset rows."""
-    raw: list[tuple[str, list[str]]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ValueError(f"line {lineno}: expected 2 tab-separated fields")
-            labels = [l for l in fields[1].split(",") if l]
-            raw.append((fields[0], labels))
+    raw = [(text, [l for l in labels.split(",") if l]) for _, (text, labels) in read_tsv(path, 2)]
     names = sorted({l for _, labels in raw for l in labels})
     index = {name: i for i, name in enumerate(names)}
     out = []
@@ -467,14 +448,4 @@ def load_multilabel_tsv(path: str | Path) -> tuple[list[tuple[str, np.ndarray]],
 
 def load_nli_tsv(path: str | Path) -> list[tuple[str, str, str]]:
     """NLI triple TSV: anchor<TAB>entailment<TAB>contradiction per line."""
-    triples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ValueError(f"line {lineno}: expected 3 tab-separated fields")
-            triples.append((fields[0], fields[1], fields[2]))
-    return triples
+    return [tuple(fields) for _, fields in read_tsv(path, 3)]

@@ -21,19 +21,19 @@ import numpy as np
 
 from .encoder import EncoderModel, ForwardTape, GradientSet, backward
 
+# Floor on a vector norm before dividing by it.
+EPS_NORM = 1e-12
+
 
 @dataclass(frozen=True)
 class LossConfig:
     temperature: float = 0.05
     hard_negatives: bool = True
-    eps_norm: float = 1e-12
     positive_in_denominator: bool = True
 
     def __post_init__(self) -> None:
         if self.temperature <= 0.0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
-        if self.eps_norm <= 0.0:
-            raise ValueError("eps_norm must be positive")
 
 
 @dataclass
@@ -55,17 +55,17 @@ class TrainBatch:
         return (a + self.M) % (2 * self.M)
 
 
-def cosine_sim(u: np.ndarray, v: np.ndarray, eps_norm: float = 1e-12) -> float:
+def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
     """Cosine similarity with a zero-norm guard; clamped to [-1, 1]."""
-    nu = max(float(np.linalg.norm(u)), eps_norm)
-    nv = max(float(np.linalg.norm(v)), eps_norm)
+    nu = max(float(np.linalg.norm(u)), EPS_NORM)
+    nv = max(float(np.linalg.norm(v)), EPS_NORM)
     return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
-def sim_matrix(embeddings: np.ndarray, eps_norm: float = 1e-12) -> np.ndarray:
+def sim_matrix(embeddings: np.ndarray) -> np.ndarray:
     """All pairwise cosine similarities, 64-bit, clamped to [-1, 1]."""
     X = embeddings.astype(np.float64)
-    norms = np.maximum(np.linalg.norm(X, axis=1, keepdims=True), eps_norm)
+    norms = np.maximum(np.linalg.norm(X, axis=1, keepdims=True), EPS_NORM)
     U = X / norms
     return np.clip(U @ U.T, -1.0, 1.0)
 
@@ -91,7 +91,7 @@ def compute_alpha(batch: TrainBatch, cfg: LossConfig) -> np.ndarray:
     mask = _negative_mask(n)
     if not cfg.hard_negatives:
         return np.where(mask, 1.0, 0.0)
-    z = sim_matrix(batch.embeddings, cfg.eps_norm) / cfg.temperature
+    z = sim_matrix(batch.embeddings) / cfg.temperature
     alpha = np.zeros((n, n), dtype=np.float64)
     for a in range(n):
         zn = z[a, mask[a]]
@@ -108,7 +108,7 @@ def _logsumexp(values: np.ndarray) -> float:
 def anchor_loss(a: int, batch: TrainBatch, alphas: np.ndarray, cfg: LossConfig) -> float:
     """Contrastive loss term for one anchor row, in log-sum-exp form."""
     n = batch.embeddings.shape[0]
-    sims = sim_matrix(batch.embeddings, cfg.eps_norm)
+    sims = sim_matrix(batch.embeddings)
     p = batch.partner(a)
     neg = _negative_mask(n)[a]
     z_pos = sims[a, p] / cfg.temperature
@@ -136,7 +136,7 @@ def batch_loss(
     """
     n = batch.embeddings.shape[0]
     tau = cfg.temperature
-    sims = sim_matrix(batch.embeddings, cfg.eps_norm)
+    sims = sim_matrix(batch.embeddings)
     mask = _negative_mask(n)
     if alphas is None:
         alphas = compute_alpha(batch, cfg)
@@ -174,7 +174,7 @@ def batch_loss(
     # Chain through cosine: with unit rows u_a, s_ab = u_a . u_b and
     # d s_ab / d e_a = (u_b - s_ab u_a) / ||e_a||.
     X = batch.embeddings.astype(np.float64)
-    norms = np.maximum(np.linalg.norm(X, axis=1, keepdims=True), cfg.eps_norm)
+    norms = np.maximum(np.linalg.norm(X, axis=1, keepdims=True), EPS_NORM)
     U = X / norms
     B = coeff + coeff.T
     grad = (B @ U - (B * sims).sum(axis=1, keepdims=True) * U) / norms
@@ -223,8 +223,8 @@ def ntxent_reference(batch: TrainBatch, cfg: LossConfig) -> float:
     total = 0.0
     for a in range(n):
         p = (a + M) % n
-        z = [cosine_sim(X[a], X[j], cfg.eps_norm) / cfg.temperature for j in range(n) if j != a]
-        z_pos = cosine_sim(X[a], X[p], cfg.eps_norm) / cfg.temperature
+        z = [cosine_sim(X[a], X[j]) / cfg.temperature for j in range(n) if j != a]
+        z_pos = cosine_sim(X[a], X[p]) / cfg.temperature
         m = max(z)
         denom = sum(math.exp(v - m) for v in z)
         total += -(z_pos - m - math.log(denom))

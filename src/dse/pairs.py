@@ -16,11 +16,11 @@ Pairs are emitted in one orientation only; the loss symmetrizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .corpus import SEP_TOKEN, Dialogue, passes_length_filter
+from .corpus import SEP_TOKEN, Dialogue, passes_length_filter, read_tsv
 
 
 class PairSource(Enum):
@@ -43,15 +43,8 @@ class TrainPair:
 
 @dataclass(frozen=True)
 class PairBuildConfig:
-    query_widths: frozenset[int] = field(default_factory=lambda: frozenset({1}))
     apply_length_filter: bool = True
     bridge_filtered: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.query_widths:
-            raise ValueError("query_widths must be non-empty")
-        if not self.query_widths <= {1, 2, 3}:
-            raise ValueError(f"query_widths must be a subset of {{1,2,3}}, got {set(self.query_widths)}")
 
 
 class PairFileError(ValueError):
@@ -153,18 +146,14 @@ def load_pair_file(path: str | Path) -> list[TrainPair]:
     """Read TAB-separated (query, response) pairs; '#' lines are comments.
 
     No length filtering is applied: the file author decides what counts
-    as a positive.
+    as a positive. A query or response without a single word is rejected
+    here, with its line number, since it has no tokens to embed.
     """
     out: list[TrainPair] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise PairFileError(f"line {lineno}: expected 2 tab-separated fields, got {len(fields)}")
-            out.append(TrainPair(query=fields[0], response=fields[1], source=PairSource.FILE))
+    for lineno, (query, response) in read_tsv(path, 2, PairFileError):
+        if not query.split() or not response.split():
+            raise PairFileError(f"line {lineno}: query and response must each contain a word")
+        out.append(TrainPair(query=query, response=response, source=PairSource.FILE))
     return out
 
 

@@ -10,11 +10,14 @@ roundtrip is byte-identical.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .config import parse_value
 from .encoder import (
     EncoderConfig,
     EncoderModel,
@@ -22,12 +25,17 @@ from .encoder import (
     GradientSet,
     forward_train,
     init_model,
+    param_shapes,
     tokenize_texts,
 )
 from .loss import LossConfig, TrainBatch, batch_loss_and_grad
 from .pairs import TrainPair
 
 CHECKPOINT_MAGIC = b"DSECKPT1\n"
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -36,14 +44,9 @@ class TrainConfig:
     epochs: int = 15
     lr_head: float = 3e-4
     lr_backbone: float = 3e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     shuffle_seed: int = 0
     init_seed: int = 0
     dropout_seed: int = 0
-    same_dialogue_exclusion: bool = False
-    keep_partial_batches: bool = True
 
     def __post_init__(self) -> None:
         if self.batch_size < 2:
@@ -96,47 +99,19 @@ def init_adam_state(model: EncoderModel) -> AdamState:
     )
 
 
-def make_batches(
-    pairs: list[TrainPair],
-    cfg: TrainConfig,
-    epoch: int,
-    group_ids: list[int] | None = None,
-) -> list[list[int]]:
+def make_batches(pairs: list[TrainPair], cfg: TrainConfig, epoch: int) -> list[list[int]]:
     """Deterministic per-epoch shuffle, chunked into index lists of batch_size.
 
-    A trailing chunk of size 1 is always dropped (the loss needs at least
-    2 pairs); other partial chunks are kept or dropped per
-    keep_partial_batches. With same_dialogue_exclusion and group_ids, a
-    single greedy pass places each pair into the first batch with room
-    that does not already hold its group, falling back silently to the
-    first batch with room.
+    A trailing chunk of size 1 is dropped (the loss needs at least 2 pairs);
+    any other partial chunk is kept.
     """
     if len(pairs) < 2:
         raise ValueError(f"need at least 2 pairs to train, got {len(pairs)}")
     rng = np.random.default_rng([cfg.shuffle_seed, epoch])
     order = rng.permutation(len(pairs)).tolist()
-
     M = cfg.batch_size
-    if cfg.same_dialogue_exclusion and group_ids is not None:
-        num_batches = max(1, -(-len(order) // M))
-        batches: list[list[int]] = [[] for _ in range(num_batches)]
-        groups: list[set[int]] = [set() for _ in range(num_batches)]
-        for idx in order:
-            g = group_ids[idx]
-            target = next(
-                (b for b in range(num_batches) if len(batches[b]) < M and g not in groups[b]),
-                None,
-            )
-            if target is None:
-                target = next(b for b in range(num_batches) if len(batches[b]) < M)
-            batches[target].append(idx)
-            groups[target].add(g)
-    else:
-        batches = [order[i : i + M] for i in range(0, len(order), M)]
-
-    if cfg.keep_partial_batches:
-        return [b for b in batches if len(b) >= 2]
-    return [b for b in batches if len(b) == M]
+    batches = [order[i : i + M] for i in range(0, len(order), M)]
+    return [b for b in batches if len(b) >= 2]
 
 
 def adam_step(model: EncoderModel, grads: GradientSet, state: AdamState, cfg: TrainConfig) -> None:
@@ -150,13 +125,13 @@ def adam_step(model: EncoderModel, grads: GradientSet, state: AdamState, cfg: Tr
             raise FloatingPointError(f"non-finite gradient in parameter group {name!r}")
         m = state.m[name]
         v = state.v[name]
-        m *= cfg.beta1
-        m += (1 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1 - cfg.beta2) * g * g
-        m_hat = m / (1 - cfg.beta1**t)
-        v_hat = v / (1 - cfg.beta2**t)
-        params[name] -= (lrs[name] * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)).astype(params[name].dtype)
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * g * g
+        m_hat = m / (1 - ADAM_BETA1**t)
+        v_hat = v / (1 - ADAM_BETA2**t)
+        params[name] -= (lrs[name] * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(params[name].dtype)
 
 
 def train(
@@ -165,7 +140,6 @@ def train(
     loss_cfg: LossConfig,
     train_cfg: TrainConfig,
     hooks: list | None = None,
-    group_ids: list[int] | None = None,
 ) -> TrainResult:
     """Full contrastive training run; deterministic given the configs' seeds.
 
@@ -183,7 +157,7 @@ def train(
     ckpt = Checkpoint(model=model, adam=adam, epoch=0, config_digest=train_cfg.digest())
     for epoch in range(train_cfg.epochs):
         losses = []
-        for step, batch_idx in enumerate(make_batches(pairs, train_cfg, epoch, group_ids)):
+        for step, batch_idx in enumerate(make_batches(pairs, train_cfg, epoch)):
             seq_q = [queries[i] for i in batch_idx]
             seq_r = [responses[i] for i in batch_idx]
             emb_q, tape_q = forward_train(model, seq_q, ForwardMode.TRAIN_STOCHASTIC,
@@ -201,33 +175,36 @@ def train(
     return TrainResult(checkpoint=ckpt, epoch_losses=epoch_losses)
 
 
-_ARRAY_ORDER = ["E", "W1", "b1", "W2", "b2"]
+# Checkpoint header fields and their types: the encoder config, then the training position.
+_HEADER_TYPES = {**typing.get_type_hints(EncoderConfig), "epoch": int, "adam_t": int, "config_digest": str}
+_ARRAY_GROUPS = ("parameter", "adam m", "adam v")
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
+    """Write ``ckpt`` atomically: a temporary file in the target's directory, then a rename.
+
+    A write that fails part-way leaves any earlier file at ``path`` as it was.
+    """
     cfg = ckpt.model.config
-    header_fields = [
-        ("vocab_size", cfg.vocab_size),
-        ("embed_dim", cfg.embed_dim),
-        ("head_hidden", cfg.head_hidden),
-        ("head_out", cfg.head_out),
-        ("dropout_rate", repr(cfg.dropout_rate)),
-        ("hash_seed", cfg.hash_seed),
-        ("epoch", ckpt.epoch),
-        ("adam_t", ckpt.adam.t),
-        ("config_digest", ckpt.config_digest),
-    ]
-    arrays = [dict(ckpt.model.param_items())[n] for n in _ARRAY_ORDER]
-    arrays += [ckpt.adam.m[n] for n in _ARRAY_ORDER]
-    arrays += [ckpt.adam.v[n] for n in _ARRAY_ORDER]
+    header = {f.name: getattr(cfg, f.name) for f in fields(EncoderConfig)}
+    header.update(epoch=ckpt.epoch, adam_t=ckpt.adam.t, config_digest=ckpt.config_digest)
+    params = dict(ckpt.model.param_items())
+    arrays = [group[name] for group in (params, ckpt.adam.m, ckpt.adam.v) for name in param_shapes(cfg)]
     payload = b"".join(a.astype("<f4").tobytes() for a in arrays)
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        for key, value in header_fields:
-            fh.write(f"{key}={value}\n".encode())
-        fh.write(b"\n")
-        fh.write(payload)
-        fh.write(struct.pack("<Q", len(payload)))
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            for key, value in header.items():
+                fh.write(f"{key}={value}\n".encode())
+            fh.write(b"\n")
+            fh.write(payload)
+            fh.write(struct.pack("<Q", len(payload)))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -235,15 +212,14 @@ def load_checkpoint(path) -> Checkpoint:
         data = fh.read()
     if not data.startswith(CHECKPOINT_MAGIC):
         raise CheckpointError("bad magic: not a DSECKPT1 checkpoint")
-    rest = data[len(CHECKPOINT_MAGIC):]
-    sep = rest.find(b"\n\n")
+    sep = data.find(b"\n\n", len(CHECKPOINT_MAGIC))
     if sep < 0:
         raise CheckpointError("truncated checkpoint: header not terminated")
     header: dict[str, str] = {}
-    for line in rest[:sep].decode("utf-8").splitlines():
+    for line in data[len(CHECKPOINT_MAGIC):sep].decode("utf-8").splitlines():
         key, _, value = line.partition("=")
         header[key] = value
-    body = rest[sep + 2:]
+    body = memoryview(data)[sep + 2:]  # slices of a memoryview copy no bytes
     if len(body) < 8:
         raise CheckpointError("truncated checkpoint: missing footer")
     payload, footer = body[:-8], body[-8:]
@@ -253,44 +229,34 @@ def load_checkpoint(path) -> Checkpoint:
             f"truncated checkpoint: payload is {len(payload)} bytes, footer says {expected_len}"
         )
 
-    try:
-        cfg = EncoderConfig(
-            vocab_size=int(header["vocab_size"]),
-            embed_dim=int(header["embed_dim"]),
-            head_hidden=int(header["head_hidden"]),
-            head_out=int(header["head_out"]),
-            dropout_rate=float(header["dropout_rate"]),
-            hash_seed=int(header["hash_seed"]),
-        )
-    except KeyError as exc:
-        raise CheckpointError(f"checkpoint header missing field {exc}") from exc
+    values = {}
+    for key, typ in _HEADER_TYPES.items():
+        if key not in header:
+            raise CheckpointError(f"checkpoint header missing field {key!r}")
+        try:
+            values[key] = parse_value(key, typ, header[key])
+        except ValueError as exc:
+            raise CheckpointError(f"checkpoint header: {exc}") from exc
+    cfg = EncoderConfig(**{f.name: values[f.name] for f in fields(EncoderConfig)})
 
-    shapes = {
-        "E": (cfg.vocab_size, cfg.embed_dim),
-        "W1": (cfg.embed_dim, cfg.head_hidden),
-        "b1": (cfg.head_hidden,),
-        "W2": (cfg.head_hidden, cfg.head_out),
-        "b2": (cfg.head_out,),
-    }
     offset = 0
     groups: list[dict[str, np.ndarray]] = []
-    for _ in range(3):  # params, adam m, adam v
+    for group_name in _ARRAY_GROUPS:
         group = {}
-        for name in _ARRAY_ORDER:
-            shape = shapes[name]
+        for name, shape in param_shapes(cfg).items():
             count = int(np.prod(shape))
             chunk = payload[offset : offset + 4 * count]
             if len(chunk) != 4 * count:
                 raise CheckpointError("truncated checkpoint: array payload too short")
             group[name] = np.frombuffer(chunk, dtype="<f4").reshape(shape).copy()
+            if not np.all(np.isfinite(group[name])):
+                raise CheckpointError(f"non-finite values in {group_name} array {name!r}")
             offset += 4 * count
         groups.append(group)
     if offset != len(payload):
         raise CheckpointError("checkpoint payload longer than expected")
 
     params, m, v = groups
-    model = EncoderModel(config=cfg, E=params["E"], W1=params["W1"], b1=params["b1"],
-                         W2=params["W2"], b2=params["b2"])
-    adam = AdamState(m=m, v=v, t=int(header["adam_t"]))
-    return Checkpoint(model=model, adam=adam, epoch=int(header["epoch"]),
-                      config_digest=header.get("config_digest", ""))
+    model = EncoderModel(config=cfg, **params)
+    adam = AdamState(m=m, v=v, t=values["adam_t"])
+    return Checkpoint(model=model, adam=adam, epoch=values["epoch"], config_digest=values["config_digest"])

@@ -5,7 +5,7 @@ import pytest
 from dse.cli import RunConfig, build_parser, main, run_epoch_study
 from dse.corpus import gen_synthetic, load_corpus, topic_of_dialogue
 from dse.encoder import EncoderConfig
-from dse.evaluation import LabeledSet
+from dse.evaluation import LabeledSet, OOSConfig, ThresholdRule
 from dse.loss import LossConfig
 from dse.trainer import TrainConfig
 
@@ -115,11 +115,35 @@ class TestResolvedConfig:
     def test_config_objects(self):
         cfg = RunConfig()
         cfg.apply_preset("paper")
-        assert isinstance(cfg.encoder_config(), EncoderConfig)
-        assert isinstance(cfg.loss_config(), LossConfig)
-        tc = cfg.train_config()
+        assert isinstance(cfg.build(EncoderConfig), EncoderConfig)
+        assert isinstance(cfg.build(LossConfig), LossConfig)
+        tc = cfg.build(TrainConfig)
         assert isinstance(tc, TrainConfig)
         assert tc.batch_size == 1024 and tc.lr_backbone == pytest.approx(3e-6)
+
+    def test_enum_field_from_file_and_flag(self, tmp_path, capsys):
+        cf = tmp_path / "run.cfg"
+        cf.write_text("threshold_rule=mean_minus_std\n")
+        p = tmp_path / "c.jsonl"
+        code, out, _ = run(["synth", "--config", str(cf), "--stats-population", "test_in_only",
+                            "--topics", "2", "--dialogues", "2", "--out", str(p)], capsys)
+        assert code == 0
+        assert "threshold_rule=mean_minus_std  # config-file" in out
+        assert "stats_population=test_in_only  # flag" in out
+        cf.write_text("threshold_rule=median\n")
+        code, _, err = run(["synth", "--config", str(cf), "--topics", "2",
+                            "--dialogues", "2", "--out", str(p)], capsys)
+        assert code == 1
+        assert "threshold_rule" in err and "mean_minus_std" in err
+
+    def test_schema_is_the_dataclass_fields(self):
+        cfg = RunConfig()
+        oos = cfg.build(OOSConfig)
+        assert oos.threshold_rule is ThresholdRule.MEAN
+        assert cfg.build(EncoderConfig) == EncoderConfig()
+        assert cfg.build(TrainConfig) == TrainConfig()
+        assert "max_history_tokens" not in cfg.values
+        assert len(cfg.values) == 24
 
 
 class TestCommandPlumbing:
@@ -152,6 +176,25 @@ class TestCommandPlumbing:
         # 24 dialogues x 4 turns, all surviving -> 3 pairs each
         assert "wrote 72 pairs" in stdout
         assert len(out.read_text().splitlines()) == 72
+
+    def test_train_rejects_wordless_pair_row(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("one two three four\tfive six seven eight\n\tfoo bar\n")
+        code, _, err = run(["train", "--pairs", str(pairs), "--out", str(tmp_path / "m.ckpt")]
+                           + SMALL_FLAGS, capsys)
+        assert code == 1
+        assert err.startswith("error: line 2:")
+
+    def test_floating_point_error_exits_cleanly(self, tmp_path, capsys, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise FloatingPointError("non-finite batch loss")
+
+        monkeypatch.setattr("dse.cli.train", diverge)
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("one two three four\tfive six seven eight\n")
+        code, _, err = run(["train", "--pairs", str(pairs), "--out", str(tmp_path / "m.ckpt")], capsys)
+        assert code == 1
+        assert err == "error: non-finite batch loss\n"
 
     def test_build_pairs_missing_corpus(self, tmp_path, capsys):
         code, _, err = run(["build-pairs", "--strategy", "consec",

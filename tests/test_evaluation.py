@@ -503,3 +503,10 @@ class TestLoaders:
         p = tmp_path / "d.tsv"
         p.write_text("a\te\tc\n")
         assert ev.load_nli_tsv(p) == [("a", "e", "c")]
+
+    @pytest.mark.parametrize("loader", [ev.load_labeled_tsv, ev.load_multilabel_tsv, ev.load_nli_tsv])
+    def test_field_count_error_names_line(self, tmp_path, loader):
+        p = tmp_path / "d.tsv"
+        p.write_text("# comment\n\na\tb\tc\td\n")
+        with pytest.raises(ValueError, match="line 3: expected"):
+            loader(p)

@@ -231,18 +231,16 @@ class TestPairFile:
         with pytest.raises(PairFileError, match="line 1"):
             load_pair_file(p)
 
+    @pytest.mark.parametrize("row", ["\tfoo", "foo\t", "  \tfoo", "foo\t "])
+    def test_wordless_side_rejected_with_line(self, tmp_path, row):
+        p = tmp_path / "pairs.tsv"
+        p.write_text("# header\na b\tc d\n" + row + "\n")
+        with pytest.raises(PairFileError, match="line 3"):
+            load_pair_file(p)
+
     def test_save_load(self, tmp_path):
         pairs = [TrainPair("a b", "c d", PairSource.FILE)]
         p = tmp_path / "out.tsv"
         save_pair_file(pairs, p)
         assert [(x.query, x.response) for x in load_pair_file(p)] == [("a b", "c d")]
 
-
-class TestConfig:
-    def test_empty_widths(self):
-        with pytest.raises(ValueError):
-            PairBuildConfig(query_widths=frozenset())
-
-    def test_bad_width(self):
-        with pytest.raises(ValueError):
-            PairBuildConfig(query_widths=frozenset({4}))

@@ -7,6 +7,8 @@ from dse.encoder import GradientSet
 from dse.loss import LossConfig
 from dse.pairs import PairSource, TrainPair, build_consecutive
 from dse.trainer import (
+    ADAM_BETA1,
+    ADAM_BETA2,
     AdamState,
     CheckpointError,
     TrainConfig,
@@ -42,11 +44,6 @@ class TestMakeBatches:
         batches = make_batches(make_pairs(9), cfg, epoch=0)
         assert sorted(len(b) for b in batches) == [4, 4]
 
-    def test_drop_partial(self):
-        cfg = TrainConfig(batch_size=4, keep_partial_batches=False)
-        batches = make_batches(make_pairs(10), cfg, epoch=0)
-        assert [len(b) for b in batches] == [4, 4]
-
     def test_deterministic(self):
         cfg = TrainConfig(batch_size=4, shuffle_seed=3)
         assert make_batches(make_pairs(20), cfg, 2) == make_batches(make_pairs(20), cfg, 2)
@@ -58,15 +55,6 @@ class TestMakeBatches:
     def test_too_few_pairs(self):
         with pytest.raises(ValueError):
             make_batches(make_pairs(1), TrainConfig(), 0)
-
-    def test_same_dialogue_exclusion(self):
-        cfg = TrainConfig(batch_size=4, same_dialogue_exclusion=True)
-        pairs = make_pairs(16)
-        groups = [i // 2 for i in range(16)]  # two pairs per dialogue, 8 dialogues
-        batches = make_batches(pairs, cfg, 0, group_ids=groups)
-        for b in batches:
-            seen = [groups[i] for i in b]
-            assert len(seen) == len(set(seen))
 
 
 class TestAdam:
@@ -112,8 +100,8 @@ class TestAdam:
         for _ in range(5):
             adam_step(m, grads, state, cfg)
         t = state.t
-        m_hat = state.m["b1"] / (1 - cfg.beta1**t)
-        v_hat = state.v["b1"] / (1 - cfg.beta2**t)
+        m_hat = state.m["b1"] / (1 - ADAM_BETA1**t)
+        v_hat = state.v["b1"] / (1 - ADAM_BETA2**t)
         assert np.allclose(m_hat, g, rtol=1e-5)
         assert np.allclose(v_hat, g * g, rtol=1e-5)
 
@@ -212,3 +200,55 @@ class TestCheckpointIO:
         p.write_bytes(data[: len(data) // 2])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(p)
+
+    def rewrite_header(self, tmp_path, edit):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(self.make_checkpoint(), p)
+        data = p.read_bytes()
+        end = data.index(b"\n\n")
+        p.write_bytes(edit(data[:end]) + data[end:])
+        return p
+
+    @pytest.mark.parametrize("field", ["epoch", "adam_t", "vocab_size", "config_digest"])
+    def test_missing_header_field_named(self, tmp_path, field):
+        drop = lambda header: b"\n".join(
+            line for line in header.split(b"\n") if not line.startswith(field.encode() + b"="))
+        p = self.rewrite_header(tmp_path, drop)
+        with pytest.raises(CheckpointError, match=f"missing field '{field}'"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("field", ["epoch", "adam_t", "dropout_rate"])
+    def test_unparsable_header_field_named(self, tmp_path, field):
+        key = field.encode() + b"="
+        garble = lambda header: b"\n".join(
+            key + b"x1" if line.startswith(key) else line for line in header.split(b"\n"))
+        p = self.rewrite_header(tmp_path, garble)
+        with pytest.raises(CheckpointError, match=f"'{field}'"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("group, name", [(0, "E"), (1, "b2"), (2, "W1")])
+    def test_nonfinite_array_rejected(self, tmp_path, group, name):
+        ckpt = self.make_checkpoint()
+        arrays = [dict(ckpt.model.param_items()), ckpt.adam.m, ckpt.adam.v][group]
+        arrays[name].flat[0] = np.inf if group else np.nan
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, p)
+        with pytest.raises(CheckpointError, match=f"non-finite.*'{name}'"):
+            load_checkpoint(p)
+
+    def test_failed_write_keeps_earlier_file(self, tmp_path, monkeypatch):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(self.make_checkpoint(), p)
+        before = p.read_bytes()
+
+        class FailingStruct:
+            @staticmethod
+            def pack(*args):
+                raise OSError("disk full")
+
+        monkeypatch.setattr("dse.trainer.struct", FailingStruct)
+        later = train(make_pairs(8), ENC, LossConfig(), TrainConfig(batch_size=4, epochs=2)).checkpoint
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(later, p)
+        assert p.read_bytes() == before
+        assert [q.name for q in tmp_path.iterdir()] == ["m.ckpt"]
