@@ -183,7 +183,8 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
 def cmd_embed(args, cfg: RunConfig) -> int:
     ckpt = load_checkpoint(args.ckpt)
-    texts = [line.rstrip("\n") for line in open(args.infile, encoding="utf-8") if line.strip()]
+    with open(args.infile, encoding="utf-8") as fh:
+        texts = [line.rstrip("\n") for line in fh if line.strip()]
     emb = embed_texts(ckpt.model, texts)
     ev.save_embeddings(emb, texts, args.out, str(args.out) + ".texts")
     print(f"wrote {emb.shape[0]} x {emb.shape[1]} embeddings to {args.out}")

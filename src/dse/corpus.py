@@ -141,12 +141,17 @@ def load_corpus(path: str | Path) -> list[Dialogue]:
 
 
 def read_tsv(
-    path: str | Path, num_fields: int, error: type[ValueError] = CorpusFormatError
-) -> list[tuple[int, list[str]]]:
-    """(1-based line number, fields) for each data line of a TAB-separated file.
+    path: str | Path,
+    num_fields: int,
+    error: type[ValueError] = CorpusFormatError,
+    text_fields: int | None = None,
+) -> list[list[str]]:
+    """The fields of each data line of a TAB-separated file.
 
     Blank lines and lines starting with '#' are skipped. A line with any
-    other field count raises ``error`` naming its line number.
+    other field count raises ``error`` naming its line number, and so does
+    a line whose first ``text_fields`` fields (default: all) include one
+    without a word, since such a text has no tokens to embed.
     """
     rows = []
     with open(path, encoding="utf-8") as fh:
@@ -157,7 +162,10 @@ def read_tsv(
             fields = line.split("\t")
             if len(fields) != num_fields:
                 raise error(f"line {lineno}: expected {num_fields} tab-separated fields, got {len(fields)}")
-            rows.append((lineno, fields))
+            for k, text in enumerate(fields[:text_fields], start=1):
+                if not text.split():
+                    raise error(f"line {lineno}: field {k} has no word")
+            rows.append(fields)
     return rows
 
 

@@ -423,7 +423,7 @@ def load_embeddings(path: str | Path) -> np.ndarray:
 
 def load_labeled_tsv(path: str | Path) -> LabeledSet:
     """Single-label TSV: text<TAB>label_name per line."""
-    items = [(text, label) for _, (text, label) in read_tsv(path, 2)]
+    items = [(text, label) for text, label in read_tsv(path, 2, text_fields=1)]
     names = sorted({label for _, label in items})
     index = {name: i for i, name in enumerate(names)}
     return LabeledSet(
@@ -434,7 +434,7 @@ def load_labeled_tsv(path: str | Path) -> LabeledSet:
 
 def load_multilabel_tsv(path: str | Path) -> tuple[list[tuple[str, np.ndarray]], list[str]]:
     """Multi-label TSV: text<TAB>l1,l2,... per line; returns bitset rows."""
-    raw = [(text, [l for l in labels.split(",") if l]) for _, (text, labels) in read_tsv(path, 2)]
+    raw = [(text, [l for l in labels.split(",") if l]) for text, labels in read_tsv(path, 2, text_fields=1)]
     names = sorted({l for _, labels in raw for l in labels})
     index = {name: i for i, name in enumerate(names)}
     out = []
@@ -448,4 +448,4 @@ def load_multilabel_tsv(path: str | Path) -> tuple[list[tuple[str, np.ndarray]],
 
 def load_nli_tsv(path: str | Path) -> list[tuple[str, str, str]]:
     """NLI triple TSV: anchor<TAB>entailment<TAB>contradiction per line."""
-    return [tuple(fields) for _, fields in read_tsv(path, 3)]
+    return [tuple(fields) for fields in read_tsv(path, 3)]

@@ -146,15 +146,11 @@ def load_pair_file(path: str | Path) -> list[TrainPair]:
     """Read TAB-separated (query, response) pairs; '#' lines are comments.
 
     No length filtering is applied: the file author decides what counts
-    as a positive. A query or response without a single word is rejected
-    here, with its line number, since it has no tokens to embed.
+    as a positive. A query or response without a single word is rejected,
+    with its line number.
     """
-    out: list[TrainPair] = []
-    for lineno, (query, response) in read_tsv(path, 2, PairFileError):
-        if not query.split() or not response.split():
-            raise PairFileError(f"line {lineno}: query and response must each contain a word")
-        out.append(TrainPair(query=query, response=response, source=PairSource.FILE))
-    return out
+    return [TrainPair(query=query, response=response, source=PairSource.FILE)
+            for query, response in read_tsv(path, 2, PairFileError)]
 
 
 def save_pair_file(pairs: list[TrainPair], path: str | Path) -> None:

@@ -143,7 +143,7 @@ class TestResolvedConfig:
         assert cfg.build(EncoderConfig) == EncoderConfig()
         assert cfg.build(TrainConfig) == TrainConfig()
         assert "max_history_tokens" not in cfg.values
-        assert len(cfg.values) == 24
+        assert len(cfg.values) == 23
 
 
 class TestCommandPlumbing:
@@ -263,6 +263,11 @@ class TestEvalCommands:
         code, stdout, _ = run(["eval-nli", "--ckpt", str(ckpt), "--data", str(data)] + SMALL_FLAGS, capsys)
         assert code == 0
         assert "Accuracy=" in stdout
+        with data.open("a") as fh:
+            fh.write("\treserve it\tcancel now\n")
+        code, _, err = run(["eval-nli", "--ckpt", str(ckpt), "--data", str(data)] + SMALL_FLAGS, capsys)
+        assert code == 1
+        assert err.startswith("error: line 2:")
 
     def test_eval_actions(self, tmp_path, trained, capsys):
         _, ckpt = trained

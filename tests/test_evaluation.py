@@ -510,3 +510,13 @@ class TestLoaders:
         p.write_text("# comment\n\na\tb\tc\td\n")
         with pytest.raises(ValueError, match="line 3: expected"):
             loader(p)
+        # a text field with no word is rejected at its line too
+        wordless = {
+            ev.load_labeled_tsv: ["\tgreet", "  \tgreet"],
+            ev.load_multilabel_tsv: ["\tx,y", " \tx"],
+            ev.load_nli_tsv: ["\te\tc", "a\t \tc", "a\te\t"],
+        }[loader]
+        for row in wordless:
+            p.write_text("# comment\n\n" + row + "\n")
+            with pytest.raises(ValueError, match="line 3: field"):
+                loader(p)

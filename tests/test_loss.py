@@ -6,7 +6,6 @@ import pytest
 from dse.loss import (
     LossConfig,
     TrainBatch,
-    anchor_loss,
     batch_loss,
     batch_loss_and_grad,
     compute_alpha,
@@ -17,7 +16,7 @@ from dse.loss import (
 )
 
 
-def scalar_oracle(rows, tau, hard_negatives=True, positive_in_denominator=True):
+def scalar_oracle(rows, tau, hard_negatives=True):
     """Direct transcription of the weighted contrastive objective with plain
     python floats: per-anchor weights as defined, per-anchor loss, symmetric
     average. Shares no code with the implementation under test."""
@@ -43,9 +42,7 @@ def scalar_oracle(rows, tau, hard_negatives=True, positive_in_denominator=True):
     def ell(a):
         p = (a + M) % n
         pos = math.exp(cos(rows[a], rows[p]) / tau)
-        den = sum(math.exp(alpha(a, j) * cos(rows[a], rows[j]) / tau) for j in negatives(a))
-        if positive_in_denominator:
-            den += pos
+        den = pos + sum(math.exp(alpha(a, j) * cos(rows[a], rows[j]) / tau) for j in negatives(a))
         return -math.log(pos / den)
 
     return sum(ell(a) for a in range(n)) / n
@@ -124,9 +121,8 @@ class TestAlpha:
 class TestAnchorLoss:
     def test_worked_value(self):
         alphas = compute_alpha(ORTHO_M2, LossConfig(temperature=1.0))
-        for a in range(4):
-            got = anchor_loss(a, ORTHO_M2, alphas, LossConfig(temperature=1.0))
-            assert got == pytest.approx(WORKED_VALUE, abs=1e-12)
+        got = batch_loss(ORTHO_M2, LossConfig(temperature=1.0), alphas=alphas)[0]
+        assert got == pytest.approx(WORKED_VALUE, abs=1e-12)
 
     def test_limit_towards_zero(self):
         # positive almost aligned, negatives almost anti-aligned
@@ -136,7 +132,7 @@ class TestAnchorLoss:
         b = TrainBatch(rows)
         cfg = LossConfig(temperature=0.05)
         alphas = compute_alpha(b, cfg)
-        assert anchor_loss(0, b, alphas, cfg) < 1e-6
+        assert batch_loss(b, cfg, alphas=alphas)[0] < 1e-6
 
     def test_uniform_similarities(self):
         # all rows identical: every similarity 1, alpha 1, loss log(2M-1)
@@ -144,7 +140,7 @@ class TestAnchorLoss:
         b = TrainBatch(rows)
         cfg = LossConfig(temperature=0.7)
         alphas = compute_alpha(b, cfg)
-        assert anchor_loss(0, b, alphas, cfg) == pytest.approx(math.log(5))
+        assert batch_loss(b, cfg, alphas=alphas)[0] == pytest.approx(math.log(5))
 
 
 class TestBatchLoss:
@@ -160,12 +156,10 @@ class TestBatchLoss:
             b = random_batch(rng, M=M)
             tau = float(rng.uniform(0.2, 1.0))
             for hard in (True, False):
-                for pos_in in (True, False):
-                    cfg = LossConfig(temperature=tau, hard_negatives=hard,
-                                     positive_in_denominator=pos_in)
-                    got, _ = batch_loss(b, cfg)
-                    want = scalar_oracle([r.tolist() for r in b.embeddings], tau, hard, pos_in)
-                    assert got == pytest.approx(want, rel=1e-9)
+                cfg = LossConfig(temperature=tau, hard_negatives=hard)
+                got, _ = batch_loss(b, cfg)
+                want = scalar_oracle([r.tolist() for r in b.embeddings], tau, hard)
+                assert got == pytest.approx(want, rel=1e-9)
 
     def test_row_rescale_invariance(self):
         rng = np.random.default_rng(4)
@@ -204,6 +198,13 @@ class TestBatchLoss:
             b = random_batch(rng, M=int(rng.integers(2, 5)))
             loss, _ = batch_loss(b, LossConfig())
             assert loss >= 0.0
+
+    def test_nan_row_raises(self):
+        rng = np.random.default_rng(12)
+        rows = random_batch(rng).embeddings
+        rows[1] = np.nan
+        with pytest.raises(FloatingPointError):
+            batch_loss(TrainBatch(rows), LossConfig())
 
     def test_small_batch_rejected(self):
         with pytest.raises(ValueError):
