@@ -5,25 +5,21 @@ tanh hidden layer, a second dropout, and a linear output layer; those
 head outputs feed the contrastive loss. Evaluation view: mean-pooled
 embeddings only, no head and no dropout.
 
-The forward pass records everything needed for exact analytic backprop
-(token ids, dropout masks, activations) in a ForwardTape; ``backward``
-replays it to produce parameter gradients that a finite-difference oracle
-can check to ~1e-4 relative error.
+A batch's token sequences are flattened once into (ids, lengths). The
+forward pass records those, the dropout masks and the activations in a
+ForwardTape; ``backward`` replays it to produce parameter gradients that a
+finite-difference oracle can check to ~1e-4 relative error. Pooling sums
+each row's embedding rows in token order, as ``E[ids].mean(axis=0)`` does
+(``np.add.reduceat`` would reorder the float32 sums and change checkpoint bytes).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .corpus import TokenSeq, tokenize
-
-
-class ForwardMode(Enum):
-    TRAIN_STOCHASTIC = "train_stochastic"
-    DETERMINISTIC = "deterministic"
 
 
 @dataclass(frozen=True)
@@ -71,8 +67,9 @@ class GradientSet:
 class ForwardTape:
     """Intermediate state of one TRAIN-view forward pass."""
 
-    token_ids: list[tuple[int, ...]]
-    drop1: np.ndarray     # n x d, mask already scaled by 1/(1-p); ones when deterministic
+    ids: np.ndarray       # every row's token ids, concatenated in row order
+    lengths: np.ndarray   # n, token count per row
+    drop1: np.ndarray     # n x d, mask already scaled by 1/(1-p); ones when p = 0
     drop2: np.ndarray     # n x head_hidden, scaled mask
     pooled: np.ndarray    # n x d, pre-dropout
     hidden: np.ndarray    # n x head_hidden, tanh output pre-dropout
@@ -104,38 +101,56 @@ def init_model(cfg: EncoderConfig, seed: int, dtype=np.float32) -> EncoderModel:
     return EncoderModel(config=cfg, **params)
 
 
-def _pool(model: EncoderModel, token_seqs: list[TokenSeq]) -> np.ndarray:
-    rows = np.empty((len(token_seqs), model.config.embed_dim), dtype=model.E.dtype)
-    for i, seq in enumerate(token_seqs):
-        if not seq.ids:
-            raise ValueError(f"token sequence {i} is empty; nothing to pool")
-        rows[i] = model.E[list(seq.ids)].mean(axis=0)
-    return rows
+def _flatten(token_seqs: list[TokenSeq]) -> tuple[np.ndarray, np.ndarray]:
+    ids = np.array([tid for seq in token_seqs for tid in seq.ids], dtype=np.intp)
+    lengths = np.array([len(seq.ids) for seq in token_seqs], dtype=np.intp)
+    return ids, lengths
+
+
+def _pool(model: EncoderModel, ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Row means of E over each row's ids: round k adds every row's k-th token, in token order."""
+    if not lengths.all():
+        raise ValueError(f"token sequence {int(np.argmin(lengths))} is empty; nothing to pool")
+    starts = np.cumsum(lengths) - lengths
+    sums = model.E[ids[starts]]
+    for k in range(1, int(lengths.max(initial=0))):
+        rows = np.flatnonzero(lengths > k)
+        sums[rows] += model.E[ids[starts[rows] + k]]
+    # As in mean(): divide the sum by its intp count in float64, then cast back to E's dtype.
+    return (sums / lengths[:, None]).astype(model.E.dtype)
+
+
+def _head(model: EncoderModel, pooled: np.ndarray, drop1: np.ndarray,
+          drop2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(tanh hidden layer before dropout, head output) for pooled rows and dropout masks."""
+    hidden = np.tanh(pooled * drop1 @ model.W1 + model.b1)
+    return hidden, hidden * drop2 @ model.W2 + model.b2
 
 
 def forward_eval(model: EncoderModel, token_seqs: list[TokenSeq]) -> np.ndarray:
     """Evaluation view: mean-pooled embeddings, deterministic, no head."""
-    return _pool(model, token_seqs)
+    return _pool(model, *_flatten(token_seqs))
 
 
 def forward_train(
     model: EncoderModel,
     token_seqs: list[TokenSeq],
-    mode: ForwardMode = ForwardMode.TRAIN_STOCHASTIC,
     rng_seed: int | list[int] = 0,
 ) -> tuple[np.ndarray, ForwardTape]:
     """Training view: pooled -> dropout -> tanh layer -> dropout -> linear out.
 
     Dropout is inverted (kept units scaled by 1/(1-p)) and uses independent
-    masks per example per call, deterministic for a given rng_seed.
+    masks per example per call, deterministic for a given rng_seed; with
+    dropout_rate 0 both masks are all ones and no random number is drawn.
     """
     cfg = model.config
     dtype = model.E.dtype
-    pooled = _pool(model, token_seqs)
+    ids, lengths = _flatten(token_seqs)
+    pooled = _pool(model, ids, lengths)
     n = pooled.shape[0]
 
     p = cfg.dropout_rate
-    if mode is ForwardMode.TRAIN_STOCHASTIC and p > 0.0:
+    if p > 0.0:
         rng = np.random.default_rng(rng_seed)
         keep = np.asarray(1.0 - p, dtype=dtype)
         drop1 = (rng.random((n, cfg.embed_dim)) >= p).astype(dtype) / keep
@@ -144,18 +159,8 @@ def forward_train(
         drop1 = np.ones((n, cfg.embed_dim), dtype=dtype)
         drop2 = np.ones((n, cfg.head_hidden), dtype=dtype)
 
-    pooled_d = pooled * drop1
-    hidden = np.tanh(pooled_d @ model.W1 + model.b1)
-    hidden_d = hidden * drop2
-    out = hidden_d @ model.W2 + model.b2
-
-    tape = ForwardTape(
-        token_ids=[seq.ids for seq in token_seqs],
-        drop1=drop1,
-        drop2=drop2,
-        pooled=pooled,
-        hidden=hidden,
-    )
+    hidden, out = _head(model, pooled, drop1, drop2)
+    tape = ForwardTape(ids=ids, lengths=lengths, drop1=drop1, drop2=drop2, pooled=pooled, hidden=hidden)
     return out, tape
 
 
@@ -164,11 +169,7 @@ def replay_forward(model: EncoderModel, tape: ForwardTape) -> np.ndarray:
 
     Used by the finite-difference oracle: perturbed parameters, same masks.
     """
-    seqs = [TokenSeq(ids=ids, word_count=len(ids)) for ids in tape.token_ids]
-    pooled = _pool(model, seqs)
-    pooled_d = pooled * tape.drop1.astype(pooled.dtype)
-    hidden = np.tanh(pooled_d @ model.W1 + model.b1)
-    return hidden * tape.drop2.astype(pooled.dtype) @ model.W2 + model.b2
+    return _head(model, _pool(model, tape.ids, tape.lengths), tape.drop1, tape.drop2)[1]
 
 
 def backward(model: EncoderModel, tape: ForwardTape, grad_out: np.ndarray) -> GradientSet:
@@ -177,7 +178,7 @@ def backward(model: EncoderModel, tape: ForwardTape, grad_out: np.ndarray) -> Gr
     Chains through the recorded dropout masks, the tanh layer, mean pooling,
     and the embedding lookup; untouched vocab rows get exactly zero.
     """
-    n = len(tape.token_ids)
+    n = len(tape.lengths)
     if grad_out.shape != (n, model.config.head_out):
         raise ValueError(f"grad shape {grad_out.shape} != ({n}, {model.config.head_out})")
 
@@ -194,11 +195,10 @@ def backward(model: EncoderModel, tape: ForwardTape, grad_out: np.ndarray) -> Gr
 
     dpooled = (dpre1 @ model.W1.T) * tape.drop1
 
+    # Each token of row i adds dpooled[i] / len(row i), divided in dpooled's dtype, in row-major token order.
     dE = np.zeros_like(model.E)
-    for i, ids in enumerate(tape.token_ids):
-        contrib = dpooled[i] / len(ids)
-        for tid in ids:
-            dE[tid] += contrib
+    share = dpooled / tape.lengths[:, None].astype(dpooled.dtype)
+    np.add.at(dE, tape.ids, np.repeat(share, tape.lengths, axis=0))
 
     return GradientSet(E=dE, W1=dW1.astype(model.W1.dtype), b1=db1.astype(model.b1.dtype),
                        W2=dW2.astype(model.W2.dtype), b2=db2.astype(model.b2.dtype))

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .corpus import SYS_TOKEN, USR_TOKEN, Speaker, Turn, read_tsv
-from .loss import cosine_sim
+from .loss import cosines
 
 Embedder = Callable[[list[str]], np.ndarray]
 
@@ -44,7 +44,6 @@ class LabeledSet:
 class PrototypeSet:
     labels: list[int]
     vectors: np.ndarray  # one row per entry of labels
-    support_counts: dict[int, int]
 
 
 class ThresholdRule(Enum):
@@ -99,6 +98,8 @@ def sample_few_shot(full: LabeledSet, shots: int, seed: int) -> tuple[LabeledSet
     Sampling is without replacement and deterministic per seed; labels
     with fewer than 2*shots items are an error (named in the message).
     """
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
     rng = np.random.default_rng(seed)
     by_label: dict[int, list[int]] = {}
     for i, (_, label) in enumerate(full.items):
@@ -129,16 +130,12 @@ def build_prototypes(support: LabeledSet, embedder: Embedder) -> PrototypeSet:
         emb[[i for i, (_, l) in enumerate(support.items) if l == label]].mean(axis=0)
         for label in labels
     ])
-    counts = {label: sum(1 for _, l in support.items if l == label) for label in labels}
-    return PrototypeSet(labels=labels, vectors=vectors, support_counts=counts)
+    return PrototypeSet(labels=labels, vectors=vectors)
 
 
 def _max_sims(queries: list[str], protos: PrototypeSet, embedder: Embedder) -> tuple[np.ndarray, np.ndarray]:
     """Per query: (best label, similarity to best prototype); ties -> smallest label id."""
-    emb = embedder(queries)
-    sims = np.array([
-        [cosine_sim(e, p) for p in protos.vectors] for e in emb
-    ])
+    sims = cosines(embedder(queries)[:, None], protos.vectors[None])
     best = sims.argmax(axis=1)  # argmax takes the first maximum; labels are sorted ascending
     return np.array([protos.labels[b] for b in best]), sims[np.arange(len(queries)), best]
 
@@ -174,6 +171,8 @@ def detect_oos(
             if gold_is_oos is None:
                 raise ValueError("TEST_IN_ONLY statistics need gold_is_oos")
             pop = sims[~np.array(gold_is_oos)]
+            if not pop.size:
+                raise ValueError("TEST_IN_ONLY statistics need at least one in-scope query")
         else:
             pop = sims
         mu = float(pop.mean())
@@ -239,23 +238,21 @@ def rank_topk(
         raise ValueError("queries and gold_responses must be aligned")
     rng = np.random.default_rng(seed)
     q_emb = embedder(queries)
-    hits = {k: 0 for k in k_values}
-    for qi, (gold) in enumerate(gold_responses):
-        available = [t for t in pool if t != gold]
+    gold_emb = embedder(gold_responses)
+    pool_emb = embedder(pool)
+    pool_texts = np.array(pool, dtype=object)
+    ranks = np.empty(len(queries), dtype=np.intp)
+    for qi, gold in enumerate(gold_responses):
+        available = np.flatnonzero(pool_texts != gold)
         if len(available) < n_candidates - 1:
             raise ValueError(
                 f"pool has {len(available)} usable entries, need {n_candidates - 1}"
             )
-        chosen = rng.choice(len(available), size=n_candidates - 1, replace=False)
-        distractors = [available[c] for c in chosen]
-        cand_emb = embedder([gold] + distractors)
-        sims = np.array([cosine_sim(q_emb[qi], c) for c in cand_emb])
-        rank = 1 + int(np.sum(sims[1:] >= sims[0]))  # ties pessimistic against gold
-        for k in k_values:
-            if rank <= k:
-                hits[k] += 1
+        chosen = available[rng.choice(len(available), size=n_candidates - 1, replace=False)]
+        sims = cosines(q_emb[qi], np.vstack([gold_emb[qi:qi + 1], pool_emb[chosen]]))
+        ranks[qi] = 1 + np.count_nonzero(sims[1:] >= sims[0])  # ties pessimistic against gold
     n = len(queries)
-    metrics = {f"Top-{k}": hits[k] / n for k in k_values}
+    metrics = {f"Top-{k}": int(np.count_nonzero(ranks <= k)) / n for k in k_values}
     return EvalReport(task="response_selection", metrics=metrics, support=n, seed=seed)
 
 
@@ -264,12 +261,9 @@ def nli_probe(triples: list[tuple[str, str, str]], embedder: Embedder) -> float:
     entailment is strictly closer to the anchor by cosine; ties incorrect."""
     if not triples:
         raise ValueError("need at least one triple")
-    correct = 0
-    for anchor, ent, con in triples:
-        a, e, c = embedder([anchor, ent, con])
-        if cosine_sim(a, e) > cosine_sim(a, c):
-            correct += 1
-    return correct / len(triples)
+    X = embedder([text for triple in triples for text in triple])
+    anchors, ents, cons = X[0::3], X[1::3], X[2::3]
+    return int(np.count_nonzero(cosines(anchors, ents) > cosines(anchors, cons))) / len(triples)
 
 
 def format_dialogue_history(turns: list[Turn], max_tokens: int = 32) -> str:
@@ -407,15 +401,18 @@ class EmbeddingFileError(ValueError):
 def load_embeddings(path: str | Path) -> np.ndarray:
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) != 2:
-            raise EmbeddingFileError("bad header: expected '<n> <dim>'")
+        if len(header) != 2 or not all(x.isdecimal() for x in header):
+            raise EmbeddingFileError(f"line 1: expected '<n> <dim>', got {' '.join(header)!r}")
         n, dim = (int(x) for x in header)
         rows = []
         for lineno, line in enumerate(fh, start=2):
             values = line.split()
             if len(values) != dim:
                 raise EmbeddingFileError(f"line {lineno}: expected {dim} values, got {len(values)}")
-            rows.append([float(v) for v in values])
+            try:
+                rows.append([float(v) for v in values])
+            except ValueError as exc:
+                raise EmbeddingFileError(f"line {lineno}: {exc}") from None
     if len(rows) != n:
         raise EmbeddingFileError(f"header says {n} rows, file has {len(rows)}")
     return np.array(rows, dtype=np.float64)

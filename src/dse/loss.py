@@ -70,6 +70,15 @@ def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
+def cosines(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``cosine_sim`` over the last axis, broadcast over the others, and equal to it bit for bit:
+    the same dot kernel and rounding steps (a normalized matmul rounds differently)."""
+    na = np.maximum(np.sqrt(np.vecdot(A, A)).astype(np.float64), EPS_NORM)
+    nb = np.maximum(np.sqrt(np.vecdot(B, B)).astype(np.float64), EPS_NORM)
+    dots = np.vecdot(A, B)
+    return np.clip(dots / (na * nb).astype(dots.dtype), -1.0, 1.0)
+
+
 def sim_matrix(embeddings: np.ndarray) -> np.ndarray:
     """All pairwise cosine similarities, 64-bit, clamped to [-1, 1]."""
     X = embeddings.astype(np.float64)

@@ -10,7 +10,7 @@ Strategies:
   * explicit pair files (TSV) for externally labeled positives
 
 Short utterances (<= 3 words) are dropped before pairing when the filter
-is on; a dropped turn breaks adjacency unless ``bridge_filtered`` is set.
+is on; a dropped turn breaks adjacency, so no pair spans it.
 Pairs are emitted in one orientation only; the loss symmetrizes.
 """
 
@@ -44,7 +44,6 @@ class TrainPair:
 @dataclass(frozen=True)
 class PairBuildConfig:
     apply_length_filter: bool = True
-    bridge_filtered: bool = False
 
 
 class PairFileError(ValueError):
@@ -54,15 +53,11 @@ class PairFileError(ValueError):
 def _surviving_runs(dialogue: Dialogue, cfg: PairBuildConfig) -> list[list[str]]:
     """Maximal runs of surviving turn texts, in original order.
 
-    Without the filter (or with bridging) the whole dialogue is one run;
-    otherwise each filtered turn splits the run, so no pair ever spans a
-    dropped turn.
+    Without the filter the whole dialogue is one run; otherwise each
+    filtered turn splits the run, so no pair ever spans a dropped turn.
     """
     if not cfg.apply_length_filter:
         return [[t.text for t in dialogue.turns]]
-    if cfg.bridge_filtered:
-        run = [t.text for t in dialogue.turns if passes_length_filter(t.text)]
-        return [run] if run else []
     runs: list[list[str]] = []
     current: list[str] = []
     for turn in dialogue.turns:

@@ -21,7 +21,6 @@ from .config import parse_value
 from .encoder import (
     EncoderConfig,
     EncoderModel,
-    ForwardMode,
     GradientSet,
     forward_train,
     init_model,
@@ -143,7 +142,7 @@ def train(
 ) -> TrainResult:
     """Full contrastive training run; deterministic given the configs' seeds.
 
-    Each step forwards both sides of a batch in stochastic mode (fresh
+    Each step forwards both sides of a batch through the train view (fresh
     dropout masks, seeds derived from (dropout_seed, epoch, step, side)),
     computes the symmetrized loss and exact gradients, and applies Adam.
     Hooks fire once after each epoch with the current Checkpoint.
@@ -160,10 +159,8 @@ def train(
         for step, batch_idx in enumerate(make_batches(pairs, train_cfg, epoch)):
             seq_q = [queries[i] for i in batch_idx]
             seq_r = [responses[i] for i in batch_idx]
-            emb_q, tape_q = forward_train(model, seq_q, ForwardMode.TRAIN_STOCHASTIC,
-                                          rng_seed=[train_cfg.dropout_seed, epoch, step, 0])
-            emb_r, tape_r = forward_train(model, seq_r, ForwardMode.TRAIN_STOCHASTIC,
-                                          rng_seed=[train_cfg.dropout_seed, epoch, step, 1])
+            emb_q, tape_q = forward_train(model, seq_q, rng_seed=[train_cfg.dropout_seed, epoch, step, 0])
+            emb_r, tape_r = forward_train(model, seq_r, rng_seed=[train_cfg.dropout_seed, epoch, step, 1])
             batch = TrainBatch(np.vstack([emb_q, emb_r]))
             loss_value, grads = batch_loss_and_grad(model, batch, loss_cfg, tape_q, tape_r)
             adam_step(model, grads, adam, train_cfg)

@@ -240,6 +240,14 @@ class TestEvalCommands:
         assert report["task"] == "intent_classification"
         assert 0.0 <= report["metrics"]["Accuracy"] <= 1.0
 
+    def test_eval_intent_rejects_negative_shots(self, tmp_path, corpus_path, trained, capsys):
+        _, ckpt = trained
+        data = intent_tsv(tmp_path, corpus_path)
+        code, _, stderr = run(["eval-intent", "--ckpt", str(ckpt), "--data", str(data),
+                               "--shots", "-1"] + SMALL_FLAGS, capsys)
+        assert code == 1
+        assert stderr.startswith("error: ") and "shots" in stderr
+
     def test_eval_oos(self, tmp_path, corpus_path, trained, capsys):
         _, ckpt = trained
         data = intent_tsv(tmp_path, corpus_path, include_oos=True)

@@ -5,7 +5,6 @@ from dse.corpus import TokenSeq
 from dse.encoder import (
     EncoderConfig,
     EncoderModel,
-    ForwardMode,
     backward,
     embed_texts,
     forward_eval,
@@ -80,11 +79,13 @@ class TestForward:
         assert np.array_equal(forward_eval(m, seqs), forward_eval(m, seqs))
 
     def test_zero_dropout_matches_deterministic(self):
+        # dropout 0 gives all-ones masks and output that does not depend on the seed
         cfg = EncoderConfig(vocab_size=50, embed_dim=8, head_hidden=8, head_out=6, dropout_rate=0.0)
         m = init_model(cfg, seed=1)
         seqs = random_seqs(np.random.default_rng(0), 4, cfg)
-        a, _ = forward_train(m, seqs, ForwardMode.TRAIN_STOCHASTIC, rng_seed=5)
-        b, _ = forward_train(m, seqs, ForwardMode.DETERMINISTIC)
+        a, tape = forward_train(m, seqs, rng_seed=5)
+        b, _ = forward_train(m, seqs, rng_seed=6)
+        assert np.all(tape.drop1 == 1) and np.all(tape.drop2 == 1)
         assert np.array_equal(a, b)
 
     def test_self_pair_masks_differ(self):
@@ -109,11 +110,25 @@ class TestForward:
         n = 10000
         samples = np.empty((n, SMALL.embed_dim))
         for s in range(n):
-            _, tape = forward_train(m, seqs, ForwardMode.TRAIN_STOCHASTIC, rng_seed=s)
+            _, tape = forward_train(m, seqs, rng_seed=s)
             samples[s] = (tape.pooled * tape.drop1)[0]
         mean = samples.mean(axis=0)
         se = samples.std(axis=0, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(mean - det_pooled) <= 3.5 * np.maximum(se, 1e-12))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pool_is_per_row_mean_byte_for_byte(self, dtype):
+        # each row sums in its own token order, independent of the other rows
+        cfg = EncoderConfig(vocab_size=300, embed_dim=16)
+        m = init_model(cfg, seed=4, dtype=dtype)
+        m.E *= np.random.default_rng(5).lognormal(sigma=3.0, size=m.E.shape).astype(dtype)
+        rng = np.random.default_rng(6)
+        lengths = rng.permutation(np.repeat(np.arange(1, 41), 3))
+        seqs = [TokenSeq(ids=tuple(int(i) for i in rng.integers(0, 300, size=n)), word_count=0)
+                for n in lengths]
+        want = np.stack([m.E[list(s.ids)].mean(axis=0) for s in seqs])
+        got = forward_eval(m, seqs)
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
     def test_replay_reproduces_forward(self):
         m = random_model(3)
@@ -140,6 +155,24 @@ class TestBackward:
         for row in range(SMALL.vocab_size):
             if row not in used:
                 assert not grads.E[row].any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_embedding_grad_is_per_token_loop_byte_for_byte(self, dtype):
+        cfg = EncoderConfig(vocab_size=40, embed_dim=8, head_hidden=8, head_out=6)
+        m = random_model(7, cfg, dtype=dtype)
+        rng = np.random.default_rng(8)
+        seqs = random_seqs(rng, 64, cfg, max_len=41)
+        out, tape = forward_train(m, seqs, rng_seed=2)
+        grad_out = rng.normal(size=out.shape).astype(dtype)
+        grads = backward(m, tape, grad_out)
+        dpre1 = (grad_out @ m.W2.T) * tape.drop2 * (1.0 - tape.hidden**2)
+        dpooled = (dpre1 @ m.W1.T) * tape.drop1
+        want = np.zeros_like(m.E)
+        for i, seq in enumerate(seqs):
+            contrib = dpooled[i] / len(seq.ids)
+            for tid in seq.ids:
+                want[tid] += contrib
+        assert grads.E.dtype == dtype and grads.E.tobytes() == want.tobytes()
 
     def test_shape_mismatch(self):
         m = random_model(0)

@@ -3,6 +3,7 @@ import pytest
 
 from dse import evaluation as ev
 from dse.corpus import Speaker, Turn, tokenize
+from dse.encoder import EncoderConfig, embed_texts, init_model
 from dse.loss import cosine_sim
 
 
@@ -148,6 +149,12 @@ class TestDetectOOS:
         with pytest.raises(ValueError):
             ev.detect_oos(queries, protos, cfg, emb)
 
+    def test_in_only_population_needs_an_in_scope_query(self):
+        emb, protos, queries = self.setup_instance(np.random.default_rng(5))
+        cfg = ev.OOSConfig(stats_population=ev.StatsPopulation.TEST_IN_ONLY)
+        with pytest.raises(ValueError, match="in-scope"):
+            ev.detect_oos(queries, protos, cfg, emb, gold_is_oos=[True] * len(queries))
+
     def test_needs_two_queries(self):
         emb, protos, _ = self.setup_instance(np.random.default_rng(6))
         with pytest.raises(ValueError):
@@ -249,6 +256,36 @@ class TestRankTopk:
         assert vals == sorted(vals)
         assert vals[-1] == 1.0
 
+    def test_embeds_queries_golds_and_pool_once_each(self):
+        table = self.make_pool(np.random.default_rng(14), 30)
+        calls = []
+        emb = dict_embedder(table, 5)
+        queries = [f"q{i}" for i in range(10)]
+        ev.rank_topk(queries, [f"resp{i}" for i in range(10)], [f"resp{i}" for i in range(30)],
+                     lambda texts: calls.append(len(texts)) or emb(texts), n_candidates=20)
+        assert calls == [10, 10, 30]
+
+    def test_identically_tokenized_distractor_ties_against_gold(self):
+        # an upper-case copy of the gold pools to the same embedding bytes, so it
+        # ties with the gold and the tie ranks the gold second
+        model = init_model(EncoderConfig(vocab_size=1000, embed_dim=16), seed=0)
+        rng = np.random.default_rng(15)
+        words = [f"w{i}" for i in range(200)]
+        sentences = [" ".join(rng.choice(words, size=n)) for n in rng.integers(4, 30, size=40)]
+        golds = sentences[:8]
+        queries = [g + " please" for g in golds]
+        others = sentences[8:]
+
+        def embedder(texts):
+            return embed_texts(model, texts)
+
+        plain = ev.rank_topk(queries, golds, golds + others, embedder, k_values=(1,),
+                             n_candidates=len(golds + others))
+        assert plain.metrics["Top-1"] == 1.0
+        pool = golds + others + [g.upper() for g in golds]
+        tied = ev.rank_topk(queries, golds, pool, embedder, k_values=(1, 2), n_candidates=len(pool))
+        assert tied.metrics == {"Top-1": 0.0, "Top-2": 1.0}
+
     def test_matches_brute_force_sort(self):
         rng = np.random.default_rng(12)
         table = self.make_pool(rng, 80)
@@ -282,6 +319,12 @@ class TestNLIProbe:
         table = {"a": [1.0, 0.0], "c": [0.0, 1.0]}
         emb = dict_embedder(table, 2)
         assert ev.nli_probe([("a", "a", "c")], emb) == 1.0
+
+    def test_one_embedder_call(self):
+        calls = []
+        emb = dict_embedder({}, 3)
+        ev.nli_probe([("a", "b", "c"), ("d", "e", "f")], lambda texts: calls.append(texts) or emb(texts))
+        assert calls == [["a", "b", "c", "d", "e", "f"]]
 
     def test_tie_counts_incorrect(self):
         table = {"a": [1.0, 0.0], "e": [0.5, 0.5]}
@@ -445,6 +488,11 @@ class TestFewShotSampling:
         assert a1 == a2
         assert a1 != b
 
+    @pytest.mark.parametrize("shots", [0, -1])
+    def test_nonpositive_shots_rejected(self, shots):
+        with pytest.raises(ValueError, match="shots"):
+            ev.sample_few_shot(self.make_set(), shots, seed=0)
+
     def test_insufficient_items_names_label(self):
         full = self.make_set(per_label=3)
         with pytest.raises(ValueError, match="l0"):
@@ -474,6 +522,18 @@ class TestReportsAndEmbeddingIO:
         p = tmp_path / "bad.txt"
         p.write_text("nonsense\n")
         with pytest.raises(ev.EmbeddingFileError):
+            ev.load_embeddings(p)
+
+    def test_embedding_non_numeric_header_names_line(self, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_text("x 2\n1.0 2.0\n")
+        with pytest.raises(ev.EmbeddingFileError, match="^line 1: "):
+            ev.load_embeddings(p)
+
+    def test_embedding_non_numeric_value_names_line(self, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_text("2 2\n1.0 2.0\n3.0 zz\n")
+        with pytest.raises(ev.EmbeddingFileError, match="^line 3: .*'zz'"):
             ev.load_embeddings(p)
 
     def test_embedding_row_count_mismatch(self, tmp_path):

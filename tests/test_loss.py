@@ -10,6 +10,7 @@ from dse.loss import (
     batch_loss_and_grad,
     compute_alpha,
     cosine_sim,
+    cosines,
     ntxent_reference,
     sim_matrix,
     _negative_mask,
@@ -69,6 +70,23 @@ class TestCosine:
 
     def test_zero_vector_guard(self):
         assert cosine_sim(np.zeros(3), np.array([1.0, 0.0, 0.0])) == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cosines_equal_cosine_sim_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(3)
+        A = (rng.normal(size=(12, 64)) * rng.lognormal(sigma=2.0, size=(12, 1))).astype(dtype)
+        B = (rng.normal(size=(9, 64)) * rng.lognormal(sigma=2.0, size=(9, 1))).astype(dtype)
+        A[0] = 0.0                 # zero row
+        A[1] = 7.0 * B[2]          # parallel
+        A[2] = -0.5 * B[3]         # anti-parallel
+        A[3] = B[4]                # identical
+        grid = cosines(A[:, None], B[None])
+        aligned = cosines(A[:9], B)
+        assert grid.dtype == dtype and grid.shape == (12, 9)
+        for i in range(12):
+            for j in range(9):
+                assert grid[i, j] == cosine_sim(A[i], B[j]), (i, j)
+        assert aligned.tolist() == [cosine_sim(a, b) for a, b in zip(A, B)]
 
 
 class TestAlpha:

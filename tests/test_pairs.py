@@ -28,9 +28,9 @@ def make_dialogue(texts, did="d0"):
 LONG = [f"utterance number {i} with plenty of words" for i in range(10)]
 
 
-def brute_force_pairs(texts, width, apply_filter, bridge=False):
+def brute_force_pairs(texts, width, apply_filter):
     """Independent enumerator: adjacency in original order, filtered turns break runs."""
-    if apply_filter and not bridge:
+    if apply_filter:
         runs, cur = [], []
         for t in texts:
             if passes_length_filter(t):
@@ -41,8 +41,6 @@ def brute_force_pairs(texts, width, apply_filter, bridge=False):
                 cur = []
         if cur:
             runs.append(cur)
-    elif apply_filter:
-        runs = [[t for t in texts if passes_length_filter(t)]]
     else:
         runs = [list(texts)]
     out = []
@@ -78,12 +76,6 @@ class TestConsecutive:
     def test_filtered_turn_breaks_adjacency(self):
         d = make_dialogue([LONG[0], "thank you", LONG[1]])
         assert build_consecutive([d]) == []
-
-    def test_bridge_filtered(self):
-        d = make_dialogue([LONG[0], "thank you", LONG[1]])
-        cfg = PairBuildConfig(bridge_filtered=True)
-        out = build_consecutive([d], cfg)
-        assert [(p.query, p.response) for p in out] == [(LONG[0], LONG[1])]
 
     def test_filter_off(self):
         d = make_dialogue([LONG[0], "thank you", LONG[1]])
