@@ -254,7 +254,7 @@ def cmd_eval_actions(args, cfg: RunConfig) -> int:
     train_items, names = ev.load_multilabel_tsv(args.train_data)
     test_items, test_names = ev.load_multilabel_tsv(args.data)
     if test_names != names:
-        raise SystemExit("train and test label sets differ")
+        raise ValueError("train and test label sets differ")
     probe = ev.train_action_probe(train_items, embedder, num_labels=len(names),
                                   epochs=cfg.values["probe_epochs"], lr=cfg.values["probe_lr"])
     pred = ev.predict_actions(probe, [t for t, _ in test_items], embedder)

@@ -11,6 +11,7 @@ multi-utterance queries and dialogue-history strings share one id space.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -61,10 +62,9 @@ class Dialogue:
 
 @dataclass(frozen=True)
 class TokenSeq:
-    """Token ids plus the raw whitespace word count of the source text."""
+    """The token ids of one text, in word order."""
 
     ids: tuple[int, ...]
-    word_count: int
 
 
 class CorpusFormatError(ValueError):
@@ -79,6 +79,15 @@ def _fnv1a_64(data: bytes, seed: int) -> int:
     return h
 
 
+@functools.lru_cache(maxsize=1 << 16)
+def _word_id(word: str, vocab_size: int, hash_seed: int) -> int:
+    """Id of one lowercased word. Cached: a corpus repeats its words, and the hash is pure Python."""
+    special = _SPECIAL_IDS.get(word)
+    if special is not None:
+        return special
+    return NUM_RESERVED + _fnv1a_64(word.encode("utf-8"), hash_seed) % (vocab_size - NUM_RESERVED)
+
+
 def tokenize(text: str, vocab_size: int, hash_seed: int = 0) -> TokenSeq:
     """Map text to token ids: lowercase, whitespace split, seeded FNV-1a hash.
 
@@ -88,16 +97,7 @@ def tokenize(text: str, vocab_size: int, hash_seed: int = 0) -> TokenSeq:
     """
     if vocab_size < 8:
         raise ValueError(f"vocab_size must be >= 8, got {vocab_size}")
-    words = text.lower().split()
-    ids = []
-    for word in words:
-        special = _SPECIAL_IDS.get(word)
-        if special is not None:
-            ids.append(special)
-        else:
-            h = _fnv1a_64(word.encode("utf-8"), hash_seed)
-            ids.append(NUM_RESERVED + h % (vocab_size - NUM_RESERVED))
-    return TokenSeq(ids=tuple(ids), word_count=len(words))
+    return TokenSeq(ids=tuple([_word_id(word, vocab_size, hash_seed) for word in text.lower().split()]))
 
 
 def word_count(text: str) -> int:

@@ -196,7 +196,7 @@ def backward(model: EncoderModel, tape: ForwardTape, grad_out: np.ndarray) -> Gr
     dpooled = (dpre1 @ model.W1.T) * tape.drop1
 
     # Each token of row i adds dpooled[i] / len(row i), divided in dpooled's dtype, in row-major token order.
-    dE = np.zeros_like(model.E)
+    dE = np.zeros(model.E.shape, model.E.dtype)  # calloc, unlike zeros_like, need not write every page
     share = dpooled / tape.lengths[:, None].astype(dpooled.dtype)
     np.add.at(dE, tape.ids, np.repeat(share, tape.lengths, axis=0))
 

@@ -196,8 +196,12 @@ def batch_loss_and_grad(
     dtype = model.E.dtype
     g_q = backward(model, tape_q, grad_emb[:M].astype(dtype))
     g_r = backward(model, tape_r, grad_emb[M:].astype(dtype))
+    # Off tape_r's rows g_r.E is +0.0, and g_q.E holds no -0.0 (np.add.at onto
+    # +0.0 cannot make one), so the dense sum would leave those rows' bits as they are.
+    rows = np.unique(tape_r.ids)
+    g_q.E[rows] += g_r.E[rows]
     combined = GradientSet(
-        E=g_q.E + g_r.E,
+        E=g_q.E,
         W1=g_q.W1 + g_r.W1,
         b1=g_q.b1 + g_r.b1,
         W2=g_q.W2 + g_r.W2,

@@ -1,10 +1,20 @@
 """Batch assembly, the Adam training loop, and bit-exact checkpointing.
 
 Two learning-rate groups: the embedding table trains at lr_backbone, the
-contrastive head at lr_head. Checkpoints serialize to a versioned binary
-format (magic "DSECKPT1", UTF-8 key=value header, raw little-endian f32
-arrays in fixed order, 8-byte length footer) whose save/load/save
-roundtrip is byte-identical.
+contrastive head at lr_head.
+
+Adam updates only the live rows of the embedding table ``E``: the rows that
+some training query or response hashes to, found once per run. This gives
+the same bytes as a dense update. A row that no training text hashes to has
+a zero gradient at every step, so its moments stay exactly +0.0 and its
+update is ``lr * 0 / (sqrt(0) + eps) = +0.0``, which leaves its bits as they
+are. A live row is updated at every step, also when its gradient in the
+current batch is zero, so its momentum still moves it. The cost of a step
+thus follows the rows the corpus uses, not ``vocab_size``.
+
+Checkpoints serialize to a versioned binary format (magic "DSECKPT1", UTF-8
+key=value header, raw little-endian f32 arrays in fixed order, 8-byte length
+footer) whose save/load/save roundtrip is byte-identical.
 """
 
 from __future__ import annotations
@@ -91,9 +101,10 @@ class CheckpointError(ValueError):
 
 
 def init_adam_state(model: EncoderModel) -> AdamState:
+    # np.zeros takes zeroed memory from calloc; np.zeros_like writes every page of E's 7.7 MB.
     return AdamState(
-        m={name: np.zeros_like(p) for name, p in model.param_items()},
-        v={name: np.zeros_like(p) for name, p in model.param_items()},
+        m={name: np.zeros(p.shape, p.dtype) for name, p in model.param_items()},
+        v={name: np.zeros(p.shape, p.dtype) for name, p in model.param_items()},
         t=0,
     )
 
@@ -113,24 +124,36 @@ def make_batches(pairs: list[TrainPair], cfg: TrainConfig, epoch: int) -> list[l
     return [b for b in batches if len(b) >= 2]
 
 
-def adam_step(model: EncoderModel, grads: GradientSet, state: AdamState, cfg: TrainConfig) -> None:
-    """One in-place Adam update with bias correction and per-group learning rates."""
-    state.t += 1
-    t = state.t
+def adam_step(model: EncoderModel, grads: GradientSet, state: AdamState, cfg: TrainConfig,
+              rows: np.ndarray) -> None:
+    """One in-place Adam update with bias correction and per-group learning rates.
+
+    ``E`` is updated on ``rows`` only, which must hold every row with a nonzero
+    gradient now or at any earlier step (the module docstring says why that
+    is exact); the small groups are updated whole. Every group is checked
+    for non-finite values before anything changes.
+    """
     lrs = {"E": cfg.lr_backbone, "W1": cfg.lr_head, "b1": cfg.lr_head, "W2": cfg.lr_head, "b2": cfg.lr_head}
-    params = dict(model.param_items())
-    for name, g in grads.items():
+    live = {name: g[rows] if name == "E" else g for name, g in grads.items()}
+    for name, g in live.items():
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient in parameter group {name!r}")
-        m = state.m[name]
-        v = state.v[name]
+    state.t += 1
+    t = state.t
+    params = dict(model.param_items())
+    for name, g in live.items():
+        # E's rows are gathered into copies and written back; the small groups update in place.
+        sel = rows if name == "E" else slice(None)
+        p, m, v = params[name][sel], state.m[name][sel], state.v[name][sel]
         m *= ADAM_BETA1
         m += (1 - ADAM_BETA1) * g
         v *= ADAM_BETA2
         v += (1 - ADAM_BETA2) * g * g
         m_hat = m / (1 - ADAM_BETA1**t)
         v_hat = v / (1 - ADAM_BETA2**t)
-        params[name] -= (lrs[name] * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(params[name].dtype)
+        p -= (lrs[name] * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.dtype)
+        if name == "E":
+            model.E[rows], state.m["E"][rows], state.v["E"][rows] = p, m, v
 
 
 def train(
@@ -151,6 +174,7 @@ def train(
     adam = init_adam_state(model)
     queries = tokenize_texts([p.query for p in pairs], encoder_cfg)
     responses = tokenize_texts([p.response for p in pairs], encoder_cfg)
+    live_rows = np.unique(np.fromiter((tid for seq in queries + responses for tid in seq.ids), dtype=np.intp))
 
     epoch_losses: list[float] = []
     ckpt = Checkpoint(model=model, adam=adam, epoch=0, config_digest=train_cfg.digest())
@@ -163,7 +187,7 @@ def train(
             emb_r, tape_r = forward_train(model, seq_r, rng_seed=[train_cfg.dropout_seed, epoch, step, 1])
             batch = TrainBatch(np.vstack([emb_q, emb_r]))
             loss_value, grads = batch_loss_and_grad(model, batch, loss_cfg, tape_q, tape_r)
-            adam_step(model, grads, adam, train_cfg)
+            adam_step(model, grads, adam, train_cfg, live_rows)
             losses.append(loss_value)
         epoch_losses.append(float(np.mean(losses)))
         ckpt = Checkpoint(model=model, adam=adam, epoch=epoch + 1, config_digest=train_cfg.digest())

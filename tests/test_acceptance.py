@@ -87,8 +87,8 @@ def test_criterion_1_gradient_correctness():
         rng = np.random.default_rng(1000 + inst)
         from dse.corpus import TokenSeq
         seqs = [
-            [TokenSeq(ids=tuple(int(i) for i in rng.integers(3, 50, size=rng.integers(2, 6))),
-                      word_count=0) for _ in range(M)]
+            [TokenSeq(ids=tuple(int(i) for i in rng.integers(3, 50, size=rng.integers(2, 6))))
+             for _ in range(M)]
             for _ in range(2)
         ]
         out_q, tape_q = forward_train(model, seqs[0], rng_seed=[inst, 0])

@@ -289,6 +289,12 @@ class TestEvalCommands:
                               capsys)
         assert code == 0
         assert "Micro-F1=" in stdout and "Macro-F1=" in stdout
+        test_data.write_text("please book something nice\tbook\n")
+        code, _, stderr = run(["eval-actions", "--ckpt", str(ckpt),
+                               "--train-data", str(train_data), "--data", str(test_data)] + SMALL_FLAGS,
+                              capsys)
+        assert code == 1
+        assert stderr == "error: train and test label sets differ\n"
 
 
 class TestEpochStudy:

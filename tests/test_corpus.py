@@ -31,13 +31,9 @@ class TestTokenize:
         ids = tokenize("a a a", 100, 0).ids
         assert len(set(ids)) == 1 and len(ids) == 3
 
-    def test_word_count_independent_split(self):
-        text = "what type of food do you like"
-        assert tokenize(text, 100, 0).word_count == len(text.split()) == 7
-
     def test_empty_text(self):
         seq = tokenize("", 100, 0)
-        assert seq.ids == () and seq.word_count == 0
+        assert seq.ids == ()
 
     def test_reserved_ids_for_special_tokens(self):
         seq = tokenize("[SEP] [SYS] [USR]", 100, 0)

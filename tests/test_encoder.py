@@ -32,8 +32,7 @@ def random_model(seed, cfg=SMALL, scale=1.0, dtype=np.float64):
 
 def random_seqs(rng, n, cfg=SMALL, max_len=6):
     return [
-        TokenSeq(ids=tuple(int(i) for i in rng.integers(3, cfg.vocab_size, size=rng.integers(1, max_len))),
-                 word_count=0)
+        TokenSeq(ids=tuple(int(i) for i in rng.integers(3, cfg.vocab_size, size=rng.integers(1, max_len))))
         for _ in range(n)
     ]
 
@@ -64,13 +63,13 @@ class TestInit:
 class TestForward:
     def test_single_token_eval_is_embedding_row(self):
         m = init_model(SMALL, seed=1)
-        out = forward_eval(m, [TokenSeq(ids=(7,), word_count=1)])
+        out = forward_eval(m, [TokenSeq(ids=(7,))])
         assert np.allclose(out[0], m.E[7])
 
     def test_mean_pool_duplication_invariant(self):
         m = init_model(SMALL, seed=1)
-        a = forward_eval(m, [TokenSeq(ids=(3, 9, 14), word_count=3)])
-        b = forward_eval(m, [TokenSeq(ids=(3, 3, 9, 9, 14, 14), word_count=6)])
+        a = forward_eval(m, [TokenSeq(ids=(3, 9, 14))])
+        b = forward_eval(m, [TokenSeq(ids=(3, 3, 9, 9, 14, 14))])
         assert np.allclose(a, b)
 
     def test_eval_deterministic(self):
@@ -90,7 +89,7 @@ class TestForward:
 
     def test_self_pair_masks_differ(self):
         m = init_model(SMALL, seed=1)
-        seqs = [TokenSeq(ids=(4, 8, 12), word_count=3)]
+        seqs = [TokenSeq(ids=(4, 8, 12))]
         out1, tape1 = forward_train(m, seqs, rng_seed=10)
         out2, tape2 = forward_train(m, seqs, rng_seed=11)
         assert not np.array_equal(tape1.drop1, tape2.drop1) or not np.array_equal(tape1.drop2, tape2.drop2)
@@ -99,13 +98,13 @@ class TestForward:
     def test_empty_seq_rejected(self):
         m = init_model(SMALL, seed=1)
         with pytest.raises(ValueError):
-            forward_eval(m, [TokenSeq(ids=(), word_count=0)])
+            forward_eval(m, [TokenSeq(ids=())])
 
     def test_inverted_dropout_expectation(self):
         # averaging stochastic pooled outputs over many masks approaches the
         # deterministic output within 3 standard errors per coordinate
         m = random_model(2)
-        seqs = [TokenSeq(ids=(5, 9), word_count=2)]
+        seqs = [TokenSeq(ids=(5, 9))]
         det_pooled = forward_eval(m, seqs)[0]
         n = 10000
         samples = np.empty((n, SMALL.embed_dim))
@@ -124,7 +123,7 @@ class TestForward:
         m.E *= np.random.default_rng(5).lognormal(sigma=3.0, size=m.E.shape).astype(dtype)
         rng = np.random.default_rng(6)
         lengths = rng.permutation(np.repeat(np.arange(1, 41), 3))
-        seqs = [TokenSeq(ids=tuple(int(i) for i in rng.integers(0, 300, size=n)), word_count=0)
+        seqs = [TokenSeq(ids=tuple(int(i) for i in rng.integers(0, 300, size=n)))
                 for n in lengths]
         want = np.stack([m.E[list(s.ids)].mean(axis=0) for s in seqs])
         got = forward_eval(m, seqs)
@@ -148,7 +147,7 @@ class TestBackward:
 
     def test_unused_vocab_rows_zero(self):
         m = random_model(0)
-        seqs = [TokenSeq(ids=(4, 7), word_count=2)]
+        seqs = [TokenSeq(ids=(4, 7))]
         _, tape = forward_train(m, seqs, rng_seed=1)
         grads = backward(m, tape, np.ones((1, SMALL.head_out)))
         used = {4, 7}

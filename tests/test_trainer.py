@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dse.corpus import gen_synthetic
+from dse.corpus import gen_synthetic, tokenize
 from dse.encoder import EncoderConfig, init_model
 from dse.encoder import GradientSet
 from dse.loss import LossConfig
@@ -9,6 +9,7 @@ from dse.pairs import PairSource, TrainPair, build_consecutive
 from dse.trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     CheckpointError,
     TrainConfig,
@@ -22,6 +23,30 @@ from dse.trainer import (
 )
 
 ENC = EncoderConfig(vocab_size=500, embed_dim=8, head_hidden=8, head_out=6)
+ALL_ROWS = np.arange(ENC.vocab_size)
+
+
+def dense_adam_step(model, grads, state, cfg):
+    """Adam over every row of E: the reference that adam_step's live-row update must equal."""
+    state.t += 1
+    t = state.t
+    lrs = {"E": cfg.lr_backbone, "W1": cfg.lr_head, "b1": cfg.lr_head, "W2": cfg.lr_head, "b2": cfg.lr_head}
+    params = dict(model.param_items())
+    for name, g in grads.items():
+        m = state.m[name]
+        v = state.v[name]
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * g * g
+        m_hat = m / (1 - ADAM_BETA1**t)
+        v_hat = v / (1 - ADAM_BETA2**t)
+        params[name] -= (lrs[name] * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(params[name].dtype)
+
+
+def state_bytes(model, state):
+    return ([p.tobytes() for _, p in model.param_items()]
+            + [state.m[k].tobytes() for k in state.m] + [state.v[k].tobytes() for k in state.v])
 
 
 def make_pairs(n):
@@ -63,7 +88,7 @@ class TestAdam:
         before = {k: v.copy() for k, v in m.param_items()}
         state = init_adam_state(m)
         grads = GradientSet(**{k: np.zeros_like(v) for k, v in m.param_items()})
-        adam_step(m, grads, state, TrainConfig())
+        adam_step(m, grads, state, TrainConfig(), ALL_ROWS)
         assert state.t == 1
         for k, v in m.param_items():
             assert np.array_equal(v, before[k])
@@ -75,7 +100,7 @@ class TestAdam:
         grads = GradientSet(**{k: np.zeros_like(v) for k, v in m.param_items()})
         grads.W2 = np.full_like(m.W2, 0.5)
         cfg = TrainConfig(lr_head=1e-3)
-        adam_step(m, grads, state, cfg)
+        adam_step(m, grads, state, cfg, ALL_ROWS)
         delta = before - m.W2
         assert np.all(delta > 0)  # moves against the gradient
         assert np.all(np.abs(delta) <= cfg.lr_head * 1.001)
@@ -86,7 +111,7 @@ class TestAdam:
         e_before, w_before = m.E.copy(), m.W1.copy()
         grads = GradientSet(**{k: np.ones_like(v) for k, v in m.param_items()})
         cfg = TrainConfig(lr_head=1e-3, lr_backbone=1e-2)
-        adam_step(m, grads, state, cfg)
+        adam_step(m, grads, state, cfg, ALL_ROWS)
         ratio = np.abs(e_before - m.E).max() / np.abs(w_before - m.W1).max()
         assert ratio == pytest.approx(10.0, rel=1e-4)
 
@@ -98,7 +123,7 @@ class TestAdam:
         grads = GradientSet(**{k: np.full_like(v, g) for k, v in m.param_items()})
         cfg = TrainConfig()
         for _ in range(5):
-            adam_step(m, grads, state, cfg)
+            adam_step(m, grads, state, cfg, ALL_ROWS)
         t = state.t
         m_hat = state.m["b1"] / (1 - ADAM_BETA1**t)
         v_hat = state.v["b1"] / (1 - ADAM_BETA2**t)
@@ -111,7 +136,36 @@ class TestAdam:
         grads = GradientSet(**{k: np.zeros_like(v) for k, v in m.param_items()})
         grads.W1[0, 0] = np.nan
         with pytest.raises(FloatingPointError, match="W1"):
-            adam_step(m, grads, state, TrainConfig())
+            adam_step(m, grads, state, TrainConfig(), ALL_ROWS)
+
+    def test_nonfinite_gradient_changes_nothing(self):
+        m = init_model(ENC, seed=0)
+        state = init_adam_state(m)
+        grads = GradientSet(**{k: np.ones_like(v) for k, v in m.param_items()})
+        adam_step(m, grads, state, TrainConfig(), ALL_ROWS)
+        before = state_bytes(m, state)
+        grads.b2[0] = np.nan  # the last group checked
+        with pytest.raises(FloatingPointError, match="'b2'"):
+            adam_step(m, grads, state, TrainConfig(), ALL_ROWS)
+        assert state.t == 1
+        assert state_bytes(m, state) == before
+
+    def test_live_rows_match_dense_reference(self):
+        cfg = TrainConfig(lr_head=1e-2, lr_backbone=1e-2)
+        live = np.array([3, 10, 11, 40, 200, 499])
+        rng = np.random.default_rng(0)
+        dense_model, live_model = init_model(ENC, seed=0), init_model(ENC, seed=0)
+        dense_state, live_state = init_adam_state(dense_model), init_adam_state(live_model)
+        for step in range(4):
+            grads = GradientSet(**{k: rng.standard_normal(v.shape).astype(v.dtype)
+                                   for k, v in dense_model.param_items()})
+            grads.E = np.zeros_like(dense_model.E)
+            hit = live[: len(live) - 2 * step]  # from step 1 on, some live rows get a zero gradient
+            grads.E[hit] = rng.standard_normal((len(hit), ENC.embed_dim)).astype(grads.E.dtype)
+            dense_adam_step(dense_model, grads, dense_state, cfg)
+            adam_step(live_model, grads, live_state, cfg, live)
+        assert live_state.t == dense_state.t == 4
+        assert state_bytes(live_model, live_state) == state_bytes(dense_model, dense_state)
 
 
 class TestTrain:
@@ -136,6 +190,19 @@ class TestTrain:
         for k in a.checkpoint.adam.m:
             assert np.array_equal(a.checkpoint.adam.m[k], b.checkpoint.adam.m[k])
             assert np.array_equal(a.checkpoint.adam.v[k], b.checkpoint.adam.v[k])
+
+    def test_rows_no_text_hashes_to_keep_init_bytes(self):
+        pairs = make_pairs(12)
+        cfg = TrainConfig(batch_size=4, epochs=2)
+        ckpt = train(pairs, ENC, LossConfig(), cfg).checkpoint
+        used = {tid for p in pairs for text in (p.query, p.response)
+                for tid in tokenize(text, ENC.vocab_size, ENC.hash_seed).ids}
+        dead = sorted(set(range(ENC.vocab_size)) - used)
+        init = init_model(ENC, cfg.init_seed)
+        zeros = bytes(ckpt.adam.m["E"][dead].nbytes)
+        assert ckpt.model.E[dead].tobytes() == init.E[dead].tobytes()
+        assert ckpt.adam.m["E"][dead].tobytes() == zeros and ckpt.adam.v["E"][dead].tobytes() == zeros
+        assert not np.array_equal(ckpt.model.E[sorted(used)], init.E[sorted(used)])
 
     def test_hooks_fire_per_epoch(self):
         pairs = make_pairs(8)
