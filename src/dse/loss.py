@@ -22,7 +22,18 @@ Weights are recomputed from the current embeddings every step but are
 treated as constants during differentiation (stop-gradient); the
 finite-difference oracle in the tests freezes them identically. All
 softmax-style expressions run in 64-bit with max-subtraction, over whole
-n x n arrays at once.
+n x n arrays in place.
+
+Because alpha sits in the exponent, almost every term of the log-sum-exp is
+exactly 0: at the paper preset one negative per anchor takes a logit near
+(2M-2)/tau, and after the row max is subtracted nearly all other logits lie
+far below -745.13, under which exp rounds to +0.0. libm reaches that +0.0
+through its slow underflow path, so ``batch_loss`` masks the logits below
+``_EXP_ZERO_BELOW``, writes +0.0 there and takes exp of the rest only. The
+gradient needs the symmetric sum w + w^T of the per-anchor coefficients;
+it is added in place, one pair of ``_TILE`` x ``_TILE`` tiles at a time, so
+no strided read crosses the whole array. Each entry is still the one float
+add x + y == y + x, so both shortcuts leave every byte as it was.
 """
 
 from __future__ import annotations
@@ -35,6 +46,12 @@ from .encoder import EncoderModel, ForwardTape, GradientSet, backward
 
 # Floor on a vector norm before dividing by it.
 EPS_NORM = 1e-12
+
+# Every float64 below -745.1333 has an exp of exactly +0.0.
+_EXP_ZERO_BELOW = -746.0
+
+# Side of the square tiles in which ``_add_transpose`` adds w^T to w.
+_TILE = 64
 
 
 @dataclass(frozen=True)
@@ -84,7 +101,25 @@ def sim_matrix(embeddings: np.ndarray) -> np.ndarray:
     X = embeddings.astype(np.float64)
     norms = np.maximum(np.linalg.norm(X, axis=1, keepdims=True), EPS_NORM)
     U = X / norms
-    return np.clip(U @ U.T, -1.0, 1.0)
+    S = U @ U.T
+    return np.clip(S, -1.0, 1.0, out=S)
+
+
+def _add_transpose(w: np.ndarray) -> np.ndarray:
+    """Overwrite the square ``w`` with ``w + w.T`` and return it, tile pair by tile pair.
+
+    Equal to ``w + w.T`` byte for byte (each entry is one add, and x + y == y + x)
+    without the fresh n x n array and the strided read across all of it.
+    """
+    n = w.shape[0]
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            a = w[i : i + _TILE, j : j + _TILE]
+            b = w[j : j + _TILE, i : i + _TILE]
+            s = a + b.T
+            a[...] = s
+            b[...] = s.T
+    return w
 
 
 def _partners(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -144,7 +179,8 @@ def batch_loss(
 
     # Row a of w holds anchor a's logits: alpha * s / tau at the negatives,
     # s / tau at the positive and -inf at a itself. The log-sum-exp then
-    # overwrites it with exp(logit - row max).
+    # overwrites it with exp(logit - row max); the mask must be ``w < limit``,
+    # so that a NaN is still sent through exp and makes the loss non-finite.
     z_pos = sims[rows, partners] / tau
     w = alphas * sims
     w /= tau
@@ -152,7 +188,9 @@ def batch_loss(
     w[rows, rows] = -np.inf
     row_max = w.max(axis=1)
     w -= row_max[:, None]
-    np.exp(w, out=w)
+    dead = w < _EXP_ZERO_BELOW
+    np.exp(w, out=w, where=~dead)
+    np.copyto(w, 0.0, where=dead)
     row_sum = w.sum(axis=1)
     loss = float((row_max + np.log(row_sum) - z_pos).sum()) / n
     if not np.isfinite(loss):
@@ -173,9 +211,10 @@ def batch_loss(
     X = batch.embeddings.astype(np.float64)
     norms = np.maximum(np.linalg.norm(X, axis=1, keepdims=True), EPS_NORM)
     U = X / norms
-    B = w + w.T
-    del w
-    grad = (B @ U - (B * sims).sum(axis=1, keepdims=True) * U) / norms
+    B = _add_transpose(w)
+    BU = B @ U
+    B *= sims
+    grad = (BU - B.sum(axis=1, keepdims=True) * U) / norms
     return loss, grad
 
 

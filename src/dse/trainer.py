@@ -172,9 +172,13 @@ def train(
     """
     model = init_model(encoder_cfg, train_cfg.init_seed)
     adam = init_adam_state(model)
-    queries = tokenize_texts([p.query for p in pairs], encoder_cfg)
-    responses = tokenize_texts([p.response for p in pairs], encoder_cfg)
-    live_rows = np.unique(np.fromiter((tid for seq in queries + responses for tid in seq.ids), dtype=np.intp))
+    # Consecutive pairs share texts (a response is the next pair's query):
+    # each distinct text is tokenized once.
+    texts = list(dict.fromkeys(t for p in pairs for t in (p.query, p.response)))
+    seqs = dict(zip(texts, tokenize_texts(texts, encoder_cfg)))
+    queries = [seqs[p.query] for p in pairs]
+    responses = [seqs[p.response] for p in pairs]
+    live_rows = np.unique(np.fromiter((tid for seq in seqs.values() for tid in seq.ids), dtype=np.intp))
 
     epoch_losses: list[float] = []
     ckpt = Checkpoint(model=model, adam=adam, epoch=0, config_digest=train_cfg.digest())
@@ -210,8 +214,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     header = {f.name: getattr(cfg, f.name) for f in fields(EncoderConfig)}
     header.update(epoch=ckpt.epoch, adam_t=ckpt.adam.t, config_digest=ckpt.config_digest)
     params = dict(ckpt.model.param_items())
-    arrays = [group[name] for group in (params, ckpt.adam.m, ckpt.adam.v) for name in param_shapes(cfg)]
-    payload = b"".join(a.astype("<f4").tobytes() for a in arrays)
+    arrays = [np.ascontiguousarray(group[name], dtype="<f4")
+              for group in (params, ckpt.adam.m, ckpt.adam.v) for name in param_shapes(cfg)]
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -219,8 +223,9 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             for key, value in header.items():
                 fh.write(f"{key}={value}\n".encode())
             fh.write(b"\n")
-            fh.write(payload)
-            fh.write(struct.pack("<Q", len(payload)))
+            for a in arrays:  # each array's own buffer, with no joined copy of the payload
+                fh.write(a)
+            fh.write(struct.pack("<Q", sum(a.nbytes for a in arrays)))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

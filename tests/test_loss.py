@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,10 @@ from dse.loss import (
     cosines,
     ntxent_reference,
     sim_matrix,
+    _EXP_ZERO_BELOW,
+    _add_transpose,
     _negative_mask,
+    _partners,
 )
 
 
@@ -49,6 +53,78 @@ def scalar_oracle(rows, tau, hard_negatives=True):
         return -math.log(pos / den)
 
     return sum(ell(a) for a in range(n)) / n
+
+
+def reference_sim_matrix(embeddings):
+    X = embeddings.astype(np.float64)
+    norms = np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
+    U = X / norms
+    return np.clip(U @ U.T, -1.0, 1.0)
+
+
+def reference_alpha(embeddings, cfg):
+    n = embeddings.shape[0]
+    if not cfg.hard_negatives:
+        return _negative_mask(n).astype(np.float64)
+    rows, partners = _partners(n)
+    alpha = reference_sim_matrix(embeddings)
+    alpha /= cfg.temperature
+    alpha[rows, rows] = -np.inf
+    alpha[rows, partners] = -np.inf
+    alpha -= alpha.max(axis=1, keepdims=True)
+    np.exp(alpha, out=alpha)
+    alpha /= alpha.sum(axis=1, keepdims=True) / (n - 2)
+    return alpha
+
+
+def reference_loss_and_grad(embeddings, cfg, alphas=None):
+    """The straightforward whole-array loss and gradient: exp of every logit,
+    a fresh ``w + w.T`` and fresh products. ``batch_loss`` must match it byte for byte."""
+    n = embeddings.shape[0]
+    tau = cfg.temperature
+    rows, partners = _partners(n)
+    sims = reference_sim_matrix(embeddings)
+    if alphas is None:
+        alphas = reference_alpha(embeddings, cfg)
+    z_pos = sims[rows, partners] / tau
+    w = alphas * sims
+    w /= tau
+    w[rows, partners] = z_pos
+    w[rows, rows] = -np.inf
+    row_max = w.max(axis=1)
+    w -= row_max[:, None]
+    np.exp(w, out=w)
+    row_sum = w.sum(axis=1)
+    loss = float((row_max + np.log(row_sum) - z_pos).sum()) / n
+    w /= row_sum[:, None]
+    q_pos = w[rows, partners] - 1.0
+    w *= alphas
+    w[rows, partners] = q_pos
+    w /= n * tau
+    X = embeddings.astype(np.float64)
+    norms = np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
+    U = X / norms
+    B = w + w.T
+    grad = (B @ U - (B * sims).sum(axis=1, keepdims=True) * U) / norms
+    return loss, grad
+
+
+def exp_inputs(embeddings, cfg):
+    """The logits minus their row max, as the log-sum-exp takes them."""
+    n = embeddings.shape[0]
+    rows, partners = _partners(n)
+    sims = reference_sim_matrix(embeddings)
+    w = reference_alpha(embeddings, cfg) * sims / cfg.temperature
+    w[rows, partners] = sims[rows, partners] / cfg.temperature
+    w[rows, rows] = -np.inf
+    return w - w.max(axis=1, keepdims=True)
+
+
+def peaked_rows(rng, M, dim):
+    """Rows in near-identical twins (2k, 2k+1), so each anchor's twin negative
+    takes alpha near 2M-2 and a logit near (2M-2)/tau."""
+    rows = np.repeat(rng.normal(size=(M, dim)), 2, axis=0) + 1e-3 * rng.normal(size=(2 * M, dim))
+    return rows.astype(np.float32)
 
 
 def random_batch(rng, M=3, dim=5, scale=1.0):
@@ -260,6 +336,92 @@ class TestBatchLoss:
         grad_emb = grad_emb.astype(model.E.dtype)
         want = backward(model, tape_q, grad_emb[:3]).E + backward(model, tape_r, grad_emb[3:]).E
         assert grads.E.tobytes() == want.tobytes()
+
+
+class TestAgainstReference:
+    """``batch_loss`` skips the exps that underflow and adds w.T in place; the
+    loss and gradient must stay byte-equal to the whole-array reference."""
+
+    @staticmethod
+    def assert_equal_to_reference(embeddings, cfg, alphas=None):
+        keep_emb = embeddings.tobytes()
+        keep_alphas = None if alphas is None else alphas.tobytes()
+        loss, grad = batch_loss(TrainBatch(embeddings), cfg, alphas=alphas, with_grad=True)
+        want_loss, want_grad = reference_loss_and_grad(embeddings, cfg, alphas)
+        assert loss == want_loss
+        assert grad.tobytes() == want_grad.tobytes()
+        assert embeddings.tobytes() == keep_emb
+        if alphas is not None:
+            assert alphas.tobytes() == keep_alphas
+
+    @pytest.mark.parametrize("n", [4, 6, 66, 130, 256, 2048])
+    @pytest.mark.parametrize("hard", [True, False])
+    def test_random_batches(self, n, hard):
+        rng = np.random.default_rng(n)
+        emb = rng.normal(size=(n, 32)).astype(np.float32 if n % 4 == 0 else np.float64)
+        self.assert_equal_to_reference(emb, LossConfig(hard_negatives=hard))
+
+    @pytest.mark.parametrize("n", [6, 130])
+    def test_frozen_alphas(self, n):
+        rng = np.random.default_rng(100 + n)
+        emb = rng.normal(size=(n, 16))
+        alphas = rng.uniform(0.0, n - 2, size=(n, n)) * _negative_mask(n)
+        self.assert_equal_to_reference(emb, LossConfig(temperature=0.1), alphas)
+
+    def test_peaked_batch_where_almost_every_exp_underflows(self):
+        emb = peaked_rows(np.random.default_rng(21), M=128, dim=32)
+        cfg = LossConfig()
+        assert (exp_inputs(emb, cfg) < _EXP_ZERO_BELOW).mean() > 0.99
+        self.assert_equal_to_reference(emb, cfg)
+
+    def test_exp_inputs_in_the_subnormal_band(self):
+        # In 3 dimensions the cosines spread over [-1, 1]; at tau = 2/752 the logits
+        # span 752, so some land where exp is subnormal and some where it is 0.
+        emb = np.random.default_rng(22).normal(size=(130, 3))
+        cfg = LossConfig(temperature=2 / 752, hard_negatives=False)
+        z = exp_inputs(emb, cfg)
+        assert np.count_nonzero((z >= -745.13) & (z <= -708.0)) > 10
+        assert np.count_nonzero(np.isfinite(z) & (z < _EXP_ZERO_BELOW)) > 10
+        self.assert_equal_to_reference(emb, cfg)
+        alphas = np.random.default_rng(23).uniform(0.5, 1.5, size=(130, 130)) * _negative_mask(130)
+        self.assert_equal_to_reference(emb, cfg, alphas)
+
+
+class TestLossKernels:
+    @pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 130, 200])
+    def test_add_transpose_equals_w_plus_wt_byte_for_byte(self, n):
+        rng = np.random.default_rng(n)
+        w = rng.normal(size=(n, n)) * rng.choice([1e-300, 1.0, 1e300], size=(n, n))
+        w[rng.random((n, n)) < 0.2] = 0.0
+        w[rng.random((n, n)) < 0.2] = -0.0
+        w[: n // 2, : n // 2] = -0.0  # both terms -0.0: the sum keeps the sign
+        want = (w + w.T).tobytes()
+        out = _add_transpose(w)
+        assert out is w
+        assert w.tobytes() == want
+
+    def test_exp_below_the_limit_is_positive_zero(self):
+        xs = np.concatenate([
+            np.linspace(_EXP_ZERO_BELOW, -760.0, 200_001),
+            np.nextafter(_EXP_ZERO_BELOW, -np.inf, dtype=np.float64)[None],
+            -np.logspace(np.log10(760.0), 308.0, 10_001),
+            [-np.inf],
+        ])
+        xs = xs[xs < _EXP_ZERO_BELOW]
+        assert xs.size > 200_000
+        assert not np.exp(xs).view(np.uint64).any()  # +0.0 is the all-zero bit pattern
+
+    def test_loss_and_grad_memory_at_paper_batch(self):
+        n = 2048
+        emb = np.random.default_rng(24).normal(size=(n, 128)).astype(np.float32)
+        batch = TrainBatch(emb)
+        tracemalloc.start()
+        try:
+            batch_loss(batch, LossConfig(), with_grad=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * n * n * 8 + 12 * 2**20
 
 
 class TestNtxentReference:

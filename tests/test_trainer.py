@@ -1,8 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
+from dse import trainer
 from dse.corpus import gen_synthetic, tokenize
-from dse.encoder import EncoderConfig, init_model
+from dse.encoder import EncoderConfig, init_model, param_shapes
 from dse.encoder import GradientSet
 from dse.loss import LossConfig
 from dse.pairs import PairSource, TrainPair, build_consecutive
@@ -10,6 +13,7 @@ from dse.trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    CHECKPOINT_MAGIC,
     AdamState,
     CheckpointError,
     TrainConfig,
@@ -218,6 +222,16 @@ class TestTrain:
         result = train(pairs, EncoderConfig(vocab_size=2000), LossConfig(), cfg)
         assert result.epoch_losses[-1] < result.epoch_losses[0]
 
+    def test_each_distinct_text_tokenized_once(self, monkeypatch):
+        # Consecutive pairs: each response is the next pair's query.
+        texts = [f"utterance {i} of the dialogue" for i in range(13)]
+        pairs = [TrainPair(query=q, response=r, source=PairSource.CONSEC_1_1) for q, r in zip(texts, texts[1:])]
+        calls = []
+        tokenize_texts = trainer.tokenize_texts
+        monkeypatch.setattr(trainer, "tokenize_texts", lambda t, cfg: calls.append(list(t)) or tokenize_texts(t, cfg))
+        train(pairs, ENC, LossConfig(), TrainConfig(batch_size=4, epochs=1))
+        assert calls == [texts]
+
     def test_paper_preset_values(self):
         cfg = paper_preset()
         assert cfg.batch_size == 1024
@@ -252,6 +266,20 @@ class TestCheckpointIO:
         save_checkpoint(ckpt, p1)
         save_checkpoint(load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_file_layout_byte_for_byte(self, tmp_path):
+        ckpt = self.make_checkpoint()
+        ckpt.model.W1 = np.asfortranarray(ckpt.model.W1)  # saved in C order all the same
+        ckpt.adam.m["b1"] = ckpt.adam.m["b1"].astype(np.float64)  # saved as f4 all the same
+        cfg = ckpt.model.config
+        header = "".join(f"{k}={v}\n" for k, v in [*vars(cfg).items(), ("epoch", ckpt.epoch),
+                         ("adam_t", ckpt.adam.t), ("config_digest", ckpt.config_digest)])
+        params = dict(ckpt.model.param_items())
+        payload = b"".join(np.array(g[name], dtype="<f4").tobytes()
+                           for g in (params, ckpt.adam.m, ckpt.adam.v) for name in param_shapes(cfg))
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, p)
+        assert p.read_bytes() == CHECKPOINT_MAGIC + header.encode() + b"\n" + payload + struct.pack("<Q", len(payload))
 
     def test_wrong_magic(self, tmp_path):
         p = tmp_path / "bad.ckpt"
