@@ -43,10 +43,9 @@ RUN_DEFAULTS: dict[str, object] = {
     "n_candidates": 100,
     "probe_epochs": 200,
     "probe_lr": 1.0,
-    "apply_length_filter": True,
 }
 
-CONFIG_CLASSES = (EncoderConfig, LossConfig, TrainConfig, ev.OOSConfig)
+CONFIG_CLASSES = (PairBuildConfig, EncoderConfig, LossConfig, TrainConfig, ev.OOSConfig)
 
 
 def _schema() -> dict[str, tuple[type, object]]:
@@ -158,8 +157,7 @@ def cmd_build_pairs(args, cfg: RunConfig) -> int:
         pairs = load_pair_file(args.infile)
     else:
         dialogues = corpus_mod.load_corpus(args.infile)
-        pcfg = PairBuildConfig(apply_length_filter=cfg.values["apply_length_filter"])
-        pairs = build_pairs(dialogues, args.strategy, pcfg)
+        pairs = build_pairs(dialogues, args.strategy, cfg.build(PairBuildConfig))
     save_pair_file(pairs, args.out)
     print(f"wrote {len(pairs)} pairs to {args.out}")
     return 0

@@ -5,8 +5,8 @@ A corpus file is UTF-8 JSON Lines: one dialogue per line, formatted as
 
 Tokenization is deliberately trivial: lowercase, split on whitespace runs,
 and hash each word into a fixed-size id space with seeded 64-bit FNV-1a.
-Ids 0-2 are reserved for the special tokens [SEP], [SYS], [USR] so that
-multi-utterance queries and dialogue-history strings share one id space.
+Ids 0-2 are reserved for the special tokens [SEP], [SYS], [USR]; k-to-1
+queries join their utterances with [SEP].
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ USR_ID = 2
 NUM_RESERVED = 3
 
 SEP_TOKEN = "[SEP]"
-SYS_TOKEN = "[SYS]"
-USR_TOKEN = "[USR]"
 
 _SPECIAL_IDS = {"[sep]": SEP_ID, "[sys]": SYS_ID, "[usr]": USR_ID}
 

@@ -164,14 +164,6 @@ def forward_train(
     return out, tape
 
 
-def replay_forward(model: EncoderModel, tape: ForwardTape) -> np.ndarray:
-    """Recompute the TRAIN-view output with the tape's frozen dropout masks.
-
-    Used by the finite-difference oracle: perturbed parameters, same masks.
-    """
-    return _head(model, _pool(model, tape.ids, tape.lengths), tape.drop1, tape.drop2)[1]
-
-
 def backward(model: EncoderModel, tape: ForwardTape, grad_out: np.ndarray) -> GradientSet:
     """Exact gradients of all parameters given dL/d(head output).
 

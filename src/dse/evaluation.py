@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .corpus import SYS_TOKEN, USR_TOKEN, Speaker, Turn, read_tsv
+from .corpus import read_tsv
 from .loss import cosines
 
 Embedder = Callable[[list[str]], np.ndarray]
@@ -86,11 +86,6 @@ class EvalReport:
             {"task": self.task, "support": self.support, "seed": self.seed, "metrics": self.metrics}
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        obj = json.loads(text)
-        return cls(task=obj["task"], metrics=obj["metrics"], support=obj["support"], seed=obj["seed"])
-
 
 def sample_few_shot(full: LabeledSet, shots: int, seed: int) -> tuple[LabeledSet, LabeledSet]:
     """Per label, draw `shots` items for support and `shots` for validation.
@@ -152,7 +147,6 @@ def detect_oos(
     cfg: OOSConfig,
     embedder: Embedder,
     gold_is_oos: list[bool] | None = None,
-    threshold_override: float | None = None,
 ) -> list[OOSPrediction]:
     """Flag queries whose best-prototype similarity falls below a threshold.
 
@@ -164,19 +158,16 @@ def detect_oos(
     if len(queries) < 2:
         raise ValueError("need at least 2 queries to form threshold statistics")
     labels, sims = _max_sims(queries, protos, embedder)
-    if threshold_override is not None:
-        threshold = threshold_override
+    if cfg.stats_population is StatsPopulation.TEST_IN_ONLY:
+        if gold_is_oos is None:
+            raise ValueError("TEST_IN_ONLY statistics need gold_is_oos")
+        pop = sims[~np.array(gold_is_oos)]
+        if not pop.size:
+            raise ValueError("TEST_IN_ONLY statistics need at least one in-scope query")
     else:
-        if cfg.stats_population is StatsPopulation.TEST_IN_ONLY:
-            if gold_is_oos is None:
-                raise ValueError("TEST_IN_ONLY statistics need gold_is_oos")
-            pop = sims[~np.array(gold_is_oos)]
-            if not pop.size:
-                raise ValueError("TEST_IN_ONLY statistics need at least one in-scope query")
-        else:
-            pop = sims
-        mu = float(pop.mean())
-        threshold = mu if cfg.threshold_rule is ThresholdRule.MEAN else mu - float(pop.std())
+        pop = sims
+    mu = float(pop.mean())
+    threshold = mu if cfg.threshold_rule is ThresholdRule.MEAN else mu - float(pop.std())
     return [
         OOSPrediction(is_oos=bool(s < threshold), label=None if s < threshold else int(l), max_sim=float(s))
         for l, s in zip(labels, sims)
@@ -264,26 +255,6 @@ def nli_probe(triples: list[tuple[str, str, str]], embedder: Embedder) -> float:
     X = embedder([text for triple in triples for text in triple])
     anchors, ents, cons = X[0::3], X[1::3], X[2::3]
     return int(np.count_nonzero(cosines(anchors, ents) > cosines(anchors, cons))) / len(triples)
-
-
-def format_dialogue_history(turns: list[Turn], max_tokens: int = 32) -> str:
-    """Render turns as "[SYS] text [USR] text ...", newest-biased truncation.
-
-    When the rendered string exceeds max_tokens whitespace tokens, words
-    are cut from the head so the most recent utterances survive. (Every
-    whitespace word is exactly one token for the hashing tokenizer.)
-    """
-    if not turns:
-        raise ValueError("need at least one turn")
-    parts = []
-    for t in turns:
-        marker = SYS_TOKEN if t.speaker is Speaker.SYS else USR_TOKEN
-        parts.append(f"{marker} {t.text}")
-    rendered = " ".join(parts)
-    words = rendered.split()
-    if len(words) > max_tokens:
-        words = words[-max_tokens:]
-    return " ".join(words)
 
 
 @dataclass

@@ -38,6 +38,7 @@ add x + y == y + x, so both shortcuts leave every byte as it was.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +61,8 @@ class LossConfig:
     hard_negatives: bool = True
 
     def __post_init__(self) -> None:
-        if self.temperature <= 0.0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        if not (math.isfinite(self.temperature) and self.temperature > 0.0):
+            raise ValueError(f"temperature must be finite and positive, got {self.temperature}")
 
 
 @dataclass
@@ -80,16 +81,10 @@ class TrainBatch:
         return self.embeddings.shape[0] // 2
 
 
-def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity with a zero-norm guard; clamped to [-1, 1]."""
-    nu = max(float(np.linalg.norm(u)), EPS_NORM)
-    nv = max(float(np.linalg.norm(v)), EPS_NORM)
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
-
-
 def cosines(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``cosine_sim`` over the last axis, broadcast over the others, and equal to it bit for bit:
-    the same dot kernel and rounding steps (a normalized matmul rounds differently)."""
+    """Cosine similarity over the last axis, broadcast over the others. It equals the per-pair
+    oracle ``cosine_sim`` in ``tests/oracles.py`` bit for bit: the same dot kernel and rounding
+    steps (a normalized matmul rounds differently)."""
     na = np.maximum(np.sqrt(np.vecdot(A, A)).astype(np.float64), EPS_NORM)
     nb = np.maximum(np.sqrt(np.vecdot(B, B)).astype(np.float64), EPS_NORM)
     dots = np.vecdot(A, B)
@@ -128,13 +123,6 @@ def _partners(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, (rows + n // 2) % n
 
 
-def _negative_mask(n: int) -> np.ndarray:
-    """mask[a, j] is True iff j is a negative of anchor a (not a, not a's partner)."""
-    mask = ~np.eye(n, dtype=bool)
-    mask[_partners(n)] = False
-    return mask
-
-
 def compute_alpha(batch: TrainBatch, cfg: LossConfig) -> np.ndarray:
     """Per-anchor negative weights, as a 2M x 2M array.
 
@@ -144,9 +132,12 @@ def compute_alpha(batch: TrainBatch, cfg: LossConfig) -> np.ndarray:
     negatives. With hard_negatives off, every weight is 1.
     """
     n = batch.embeddings.shape[0]
-    if not cfg.hard_negatives:
-        return _negative_mask(n).astype(np.float64)
     rows, partners = _partners(n)
+    if not cfg.hard_negatives:
+        alpha = np.ones((n, n))
+        alpha[rows, rows] = 0.0
+        alpha[rows, partners] = 0.0
+        return alpha
     alpha = sim_matrix(batch.embeddings)
     alpha /= cfg.temperature
     alpha[rows, rows] = -np.inf
@@ -247,26 +238,3 @@ def batch_loss_and_grad(
         b2=g_q.b2 + g_r.b2,
     )
     return loss, combined
-
-
-def ntxent_reference(batch: TrainBatch, cfg: LossConfig) -> float:
-    """Independently coded symmetric NT-Xent over the same 2M rows.
-
-    Deliberately written as a plain per-anchor loop with no weight
-    machinery; equals batch_loss with hard_negatives off. Serves as a
-    cross-check, not a fast path.
-    """
-    import math
-
-    X = batch.embeddings
-    n = X.shape[0]
-    M = batch.M
-    total = 0.0
-    for a in range(n):
-        p = (a + M) % n
-        z = [cosine_sim(X[a], X[j]) / cfg.temperature for j in range(n) if j != a]
-        z_pos = cosine_sim(X[a], X[p]) / cfg.temperature
-        m = max(z)
-        denom = sum(math.exp(v - m) for v in z)
-        total += -(z_pos - m - math.log(denom))
-    return total / n

@@ -20,6 +20,7 @@ footer) whose save/load/save roundtrip is byte-identical.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import struct
 import typing
@@ -62,8 +63,9 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 2")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if min(self.lr_head, self.lr_backbone) <= 0:
-            raise ValueError("learning rates must be positive")
+        for name, lr in (("lr_head", self.lr_head), ("lr_backbone", self.lr_backbone)):
+            if not (math.isfinite(lr) and lr > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {lr}")
 
     def digest(self) -> str:
         text = ";".join(f"{k}={v}" for k, v in sorted(vars(self).items()))

@@ -19,7 +19,6 @@ from dse.encoder import (
     embed_texts,
     forward_train,
     init_model,
-    replay_forward,
 )
 from dse.loss import (
     LossConfig,
@@ -27,9 +26,6 @@ from dse.loss import (
     batch_loss,
     batch_loss_and_grad,
     compute_alpha,
-    cosine_sim,
-    ntxent_reference,
-    _negative_mask,
 )
 from dse.pairs import build_combined, build_consecutive, build_k_to_1
 from dse.trainer import (
@@ -40,6 +36,7 @@ from dse.trainer import (
     train,
 )
 from dse.cli import run_epoch_study
+from oracles import _negative_mask, cosine_sim, ntxent_reference, replay_forward
 
 
 def report(num: int, name: str, ok: bool) -> None:

@@ -7,6 +7,7 @@ from dse.corpus import gen_synthetic, load_corpus, topic_of_dialogue
 from dse.encoder import EncoderConfig
 from dse.evaluation import LabeledSet, OOSConfig, ThresholdRule
 from dse.loss import LossConfig
+from dse.pairs import PairBuildConfig
 from dse.trainer import TrainConfig
 
 
@@ -138,6 +139,7 @@ class TestResolvedConfig:
 
     def test_schema_is_the_dataclass_fields(self):
         cfg = RunConfig()
+        assert cfg.build(PairBuildConfig) == PairBuildConfig()
         oos = cfg.build(OOSConfig)
         assert oos.threshold_rule is ThresholdRule.MEAN
         assert cfg.build(EncoderConfig) == EncoderConfig()
@@ -195,6 +197,37 @@ class TestCommandPlumbing:
         code, _, err = run(["train", "--pairs", str(pairs), "--out", str(tmp_path / "m.ckpt")], capsys)
         assert code == 1
         assert err == "error: non-finite batch loss\n"
+
+    def test_build_pairs_length_filter_flag(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        turns = ["one two three four", "hi", "five six seven eight", "nine ten eleven twelve"]
+        dialogue = {"id": "d0", "turns": [{"speaker": "usr", "text": t} for t in turns]}
+        corpus.write_text(json.dumps(dialogue) + "\n")
+        out = tmp_path / "p.tsv"
+        counts = []
+        for value in ("true", "false"):
+            code, stdout, _ = run(["build-pairs", "--strategy", "consec", "--in", str(corpus),
+                                   "--out", str(out), "--apply-length-filter", value], capsys)
+            assert code == 0
+            assert f"apply_length_filter={value.capitalize()}  # flag" in stdout
+            counts.append(len(out.read_text().splitlines()))
+        # "hi" is dropped and breaks adjacency with the filter on; without it every turn pairs
+        assert counts == [1, 3]
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--temperature", "inf", "temperature"),
+        ("--lr-head", "nan", "lr_head"),
+    ])
+    def test_train_rejects_non_finite_hyperparameter(self, tmp_path, capsys, flag, value, field):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("one two three four\tfive six seven eight\n" * 4)
+        out = tmp_path / "m.ckpt"
+        code, stdout, err = run(["train", "--pairs", str(pairs), "--out", str(out), flag, value]
+                                + SMALL_FLAGS, capsys)
+        assert code == 1
+        assert err.startswith(f"error: {field} must be finite and positive")
+        assert not any(line.startswith("epoch ") for line in stdout.splitlines())
+        assert not out.exists()
 
     def test_build_pairs_missing_corpus(self, tmp_path, capsys):
         code, _, err = run(["build-pairs", "--strategy", "consec",

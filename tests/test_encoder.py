@@ -10,9 +10,9 @@ from dse.encoder import (
     forward_eval,
     forward_train,
     init_model,
-    replay_forward,
     tokenize_texts,
 )
+from oracles import replay_forward
 
 SMALL = EncoderConfig(vocab_size=50, embed_dim=8, head_hidden=8, head_out=6, dropout_rate=0.1)
 

@@ -12,15 +12,13 @@ from dse.loss import (
     batch_loss,
     batch_loss_and_grad,
     compute_alpha,
-    cosine_sim,
     cosines,
-    ntxent_reference,
     sim_matrix,
     _EXP_ZERO_BELOW,
     _add_transpose,
-    _negative_mask,
     _partners,
 )
+from oracles import _negative_mask, cosine_sim, ntxent_reference
 
 
 def scalar_oracle(rows, tau, hard_negatives=True):
@@ -175,11 +173,14 @@ class TestAlpha:
         assert np.allclose(alphas[mask], 1.0)
 
     def test_disabled_all_one(self):
+        # the whole array: 1.0 at each negative, 0.0 on the diagonal and at each partner
         rng = np.random.default_rng(0)
-        b = random_batch(rng)
-        alphas = compute_alpha(b, LossConfig(hard_negatives=False))
-        mask = _negative_mask(6)
-        assert np.all(alphas[mask] == 1.0)
+        for n in (4, 6, 130):
+            alphas = compute_alpha(random_batch(rng, M=n // 2), LossConfig(hard_negatives=False))
+            want = _negative_mask(n).astype(np.float64)
+            assert alphas.dtype == want.dtype and alphas.tobytes() == want.tobytes(), n
+            rows, partners = _partners(n)
+            assert np.all(alphas[rows, rows] == 0.0) and np.all(alphas[rows, partners] == 0.0), n
 
     def test_m2_orthogonal_example(self):
         alphas = compute_alpha(ORTHO_M2, LossConfig(temperature=1.0))
@@ -458,3 +459,8 @@ class TestConfig:
     def test_bad_temperature(self):
         with pytest.raises(ValueError):
             LossConfig(temperature=0.0)
+
+    @pytest.mark.parametrize("tau", [math.inf, math.nan])
+    def test_non_finite_temperature_named(self, tau):
+        with pytest.raises(ValueError, match="temperature must be finite and positive"):
+            LossConfig(temperature=tau)

@@ -177,6 +177,12 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
 
+    @pytest.mark.parametrize("field", ["lr_head", "lr_backbone"])
+    @pytest.mark.parametrize("lr", [0.0, float("inf"), float("nan")])
+    def test_bad_learning_rate_named(self, field, lr):
+        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+            TrainConfig(**{field: lr})
+
     def test_one_step_per_epoch(self):
         pairs = make_pairs(8)
         cfg = TrainConfig(batch_size=8, epochs=1)
