@@ -13,7 +13,6 @@ lr 3e-4 head / 3e-6 backbone, 128-dim head output).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import typing
 from dataclasses import fields
@@ -27,8 +26,9 @@ from . import evaluation as ev
 from .config import parse_value
 from .encoder import EncoderConfig, embed_texts
 from .loss import LossConfig
-from .pairs import PairBuildConfig, build_pairs, load_pair_file, save_pair_file
+from .pairs import STRATEGIES, PairBuildConfig, build_pairs, load_pair_file, save_pair_file
 from .trainer import (
+    PAPER_HYPERPARAMETERS,
     Checkpoint,
     TrainConfig,
     load_checkpoint,
@@ -59,19 +59,7 @@ def _schema() -> dict[str, tuple[type, object]]:
 
 SCHEMA = _schema()
 
-PRESETS: dict[str, dict[str, object]] = {
-    "paper": {
-        "batch_size": 1024,
-        "epochs": 15,
-        "temperature": 0.05,
-        "lr_head": 3e-4,
-        "lr_backbone": 3e-6,
-        "dropout_rate": 0.1,
-        "head_hidden": 64,
-        "head_out": 128,
-        "apply_length_filter": True,
-    },
-}
+PRESETS: dict[str, dict[str, object]] = {"paper": PAPER_HYPERPARAMETERS}
 
 
 class RunConfig:
@@ -80,9 +68,6 @@ class RunConfig:
     def __init__(self) -> None:
         self.values = {key: default for key, (_, default) in SCHEMA.items()}
         self.provenance = dict.fromkeys(SCHEMA, "default")
-        if "DSE_SEED" in os.environ:
-            self.values["seed"] = parse_value("seed", int, os.environ["DSE_SEED"])
-            self.provenance["seed"] = "env"
 
     def apply_preset(self, name: str) -> None:
         preset = PRESETS.get(name)
@@ -369,8 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = add("build-pairs", cmd_build_pairs, help="construct contrastive pairs")
-    p.add_argument("--strategy", required=True,
-                   choices=["consec", "k2", "k3", "combined", "self", "file"])
+    p.add_argument("--strategy", required=True, choices=[*STRATEGIES, "file"])
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
 

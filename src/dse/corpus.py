@@ -98,17 +98,13 @@ def tokenize(text: str, vocab_size: int, hash_seed: int = 0) -> TokenSeq:
     return TokenSeq(ids=tuple([_word_id(word, vocab_size, hash_seed) for word in text.lower().split()]))
 
 
-def word_count(text: str) -> int:
-    return len(text.split())
-
-
 def passes_length_filter(text: str) -> bool:
     """True iff the text has at least 4 whitespace-delimited words.
 
     Shorter utterances (e.g. "thank you") pair with too many unrelated
     contexts to make useful positives, so pair construction drops them.
     """
-    return word_count(text) >= 4
+    return len(text.split()) >= 4
 
 
 def load_corpus(path: str | Path) -> list[Dialogue]:

@@ -14,6 +14,7 @@ against the gold response, and probe ties count as incorrect.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -227,6 +228,8 @@ def rank_topk(
     """
     if len(queries) != len(gold_responses):
         raise ValueError("queries and gold_responses must be aligned")
+    if n_candidates < 2:
+        raise ValueError(f"n_candidates must be >= 2, got {n_candidates}")
     rng = np.random.default_rng(seed)
     q_emb = embedder(queries)
     gold_emb = embedder(gold_responses)
@@ -301,6 +304,10 @@ def train_action_probe(
     """
     if not train or num_labels < 1:
         raise ValueError("need at least one example and one label")
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
+    if not (math.isfinite(lr) and lr > 0.0):
+        raise ValueError(f"lr must be finite and positive, got {lr}")
     X = embedder([t for t, _ in train]).astype(np.float64)
     Y = np.stack([y for _, y in train]).astype(np.float64)
     if Y.shape[1] != num_labels:

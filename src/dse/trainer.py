@@ -72,9 +72,24 @@ class TrainConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+# The published hyperparameters, keyed by config field; ``--preset paper`` applies them.
+PAPER_HYPERPARAMETERS: dict[str, object] = {
+    "batch_size": 1024,
+    "epochs": 15,
+    "temperature": 0.05,
+    "lr_head": 3e-4,
+    "lr_backbone": 3e-6,
+    "dropout_rate": 0.1,
+    "head_hidden": 64,
+    "head_out": 128,
+    "apply_length_filter": True,
+}
+
+
 def paper_preset() -> TrainConfig:
-    """The published hyperparameters: batch 1024, 15 epochs, lr 3e-4 / 3e-6."""
-    return TrainConfig(batch_size=1024, epochs=15, lr_head=3e-4, lr_backbone=3e-6)
+    """The ``TrainConfig`` fields of ``PAPER_HYPERPARAMETERS``; the rest keep their defaults."""
+    names = {f.name for f in fields(TrainConfig)}
+    return TrainConfig(**{k: v for k, v in PAPER_HYPERPARAMETERS.items() if k in names})
 
 
 @dataclass

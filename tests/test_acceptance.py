@@ -27,7 +27,7 @@ from dse.loss import (
     batch_loss_and_grad,
     compute_alpha,
 )
-from dse.pairs import build_combined, build_consecutive, build_k_to_1
+from dse.pairs import build_pairs
 from dse.trainer import (
     CheckpointError,
     TrainConfig,
@@ -335,11 +335,10 @@ def test_criterion_7_pair_count_laws():
                 cur = 0
         if cur:
             runs.append(cur)
-        for width in (1, 2, 3):
-            fn = build_consecutive if width == 1 else (lambda ds, w=width: build_k_to_1(ds, w))
-            ok &= len(fn([d])) == sum(max(0, n - width) for n in runs)
+        for width, strategy in ((1, "consec"), (2, "k2"), (3, "k3")):
+            ok &= len(build_pairs([d], strategy)) == sum(max(0, n - width) for n in runs)
         want_combined = sum(3 * n - 6 if n >= 3 else max(0, n - 1) for n in runs)
-        ok &= len(build_combined([d])) == want_combined
+        ok &= len(build_pairs([d], "combined")) == want_combined
     report(7, "pair count laws", ok)
 
 
@@ -349,7 +348,7 @@ def test_criterion_8_end_to_end_separation():
     trained_accs, untrained_accs, cos_gaps = [], [], []
     for seed in range(10):
         train_d = gen_synthetic(8, 100, 6, 6, seed=seed)
-        pairs = build_consecutive(train_d)
+        pairs = build_pairs(train_d, "consec")
         cfg = TrainConfig(epochs=10, shuffle_seed=seed, init_seed=seed, dropout_seed=seed)
         result = train(pairs, enc, LossConfig(), cfg)
         model = result.checkpoint.model
@@ -425,9 +424,9 @@ def test_criterion_9_epoch_study_reproducible():
 
 def test_criterion_10_persistence(tmp_path):
     enc = EncoderConfig(vocab_size=300, embed_dim=8, head_hidden=8, head_out=6)
-    from dse.pairs import PairSource, TrainPair
-    pairs = [TrainPair(f"query text number {i} here", f"response text number {i} here",
-                       PairSource.CONSEC_1_1) for i in range(8)]
+    from dse.pairs import TrainPair
+    pairs = [TrainPair(f"query text number {i} here", f"response text number {i} here")
+             for i in range(8)]
     ckpt = train(pairs, enc, LossConfig(), TrainConfig(batch_size=4, epochs=1)).checkpoint
 
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"

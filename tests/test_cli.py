@@ -7,8 +7,8 @@ from dse.corpus import gen_synthetic, load_corpus, topic_of_dialogue
 from dse.encoder import EncoderConfig
 from dse.evaluation import LabeledSet, OOSConfig, ThresholdRule
 from dse.loss import LossConfig
-from dse.pairs import PairBuildConfig
-from dse.trainer import TrainConfig
+from dse.pairs import STRATEGIES, PairBuildConfig, build_pairs, load_pair_file, save_pair_file
+from dse.trainer import TrainConfig, paper_preset
 
 
 def run(args, capsys):
@@ -103,11 +103,10 @@ class TestResolvedConfig:
         assert code == 1
         assert "no_such_field" in err
 
-    def test_env_seed(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("DSE_SEED", "77")
+    def test_paper_preset_is_the_trainer_preset(self):
         cfg = RunConfig()
-        assert cfg.values["seed"] == 77
-        assert cfg.provenance["seed"] == "env"
+        cfg.apply_preset("paper")
+        assert cfg.build(TrainConfig) == paper_preset()
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
@@ -297,6 +296,15 @@ class TestEvalCommands:
         assert code == 0
         assert "Top-1=" in stdout and "Top-3=" in stdout
 
+    @pytest.mark.parametrize("value", ["0", "1"])
+    def test_eval_rank_rejects_fewer_than_two_candidates(self, tmp_path, trained, capsys, value):
+        pairs, ckpt = trained
+        code, stdout, err = run(["eval-rank", "--ckpt", str(ckpt), "--data", str(pairs),
+                                 "--n-candidates", value] + SMALL_FLAGS, capsys)
+        assert code == 1
+        assert err.startswith("error: n_candidates must be >= 2")
+        assert "Top-1=" not in stdout
+
     def test_eval_nli(self, tmp_path, trained, capsys):
         _, ckpt = trained
         data = tmp_path / "nli.tsv"
@@ -328,6 +336,22 @@ class TestEvalCommands:
                               capsys)
         assert code == 1
         assert stderr == "error: train and test label sets differ\n"
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--probe-epochs", "-5", "epochs must be >= 0"),
+        ("--probe-lr", "nan", "lr must be finite and positive"),
+        ("--probe-lr", "0", "lr must be finite and positive"),
+        ("--probe-lr", "inf", "lr must be finite and positive"),
+    ])
+    def test_eval_actions_rejects_bad_probe_settings(self, tmp_path, trained, capsys, flag, value, message):
+        _, ckpt = trained
+        data = tmp_path / "acts.tsv"
+        data.write_text("book a table now\tbook\ncancel it all please\tcancel\n")
+        code, stdout, err = run(["eval-actions", "--ckpt", str(ckpt), "--train-data", str(data),
+                                 "--data", str(data), flag, value] + SMALL_FLAGS, capsys)
+        assert code == 1
+        assert err.startswith(f"error: {message}")
+        assert "Micro-F1=" not in stdout
 
 
 class TestEpochStudy:
@@ -382,6 +406,36 @@ class TestParser:
             opts = {o for act in p._actions for o in act.option_strings}
             assert "--preset" in opts, name
             assert "--temperature" in opts, name
+
+    def test_strategy_choices_are_the_builder_strategies(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if hasattr(a, "choices") and a.choices)
+        action = next(a for a in sub.choices["build-pairs"]._actions if a.dest == "strategy")
+        assert action.choices == [*STRATEGIES, "file"]
+
+    @pytest.mark.parametrize("strategy", [*STRATEGIES, "file"])
+    @pytest.mark.parametrize("apply_filter", ["true", "false"])
+    def test_build_pairs_writes_the_builder_output(self, tmp_path, capsys, strategy, apply_filter):
+        corpus = tmp_path / "c.jsonl"
+        turns = ["one two three four", "hi", "five six seven eight", "nine ten eleven twelve",
+                 "  one two three four ", "thirteen fourteen fifteen sixteen"]
+        dialogue = {"id": "d0", "turns": [{"speaker": "usr", "text": t} for t in turns]}
+        corpus.write_text(json.dumps(dialogue) + "\n")
+        source = corpus
+        if strategy == "file":
+            source = tmp_path / "in.tsv"
+            source.write_text("# comment\none two three\tfour five six\n")
+            want = load_pair_file(source)
+        else:
+            cfg = PairBuildConfig(apply_length_filter=apply_filter == "true")
+            want = build_pairs(load_corpus(corpus), strategy, cfg)
+        expected = tmp_path / "expected.tsv"
+        save_pair_file(want, expected)
+        out = tmp_path / "p.tsv"
+        code, _, _ = run(["build-pairs", "--strategy", strategy, "--in", str(source),
+                          "--out", str(out), "--apply-length-filter", apply_filter], capsys)
+        assert code == 0
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_bool_flag_error_names_field(self, tmp_path, capsys):
         with pytest.raises(SystemExit):

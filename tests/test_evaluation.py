@@ -225,6 +225,14 @@ class TestRankTopk:
             ev.rank_topk(["q0"], ["resp0"], [f"resp{i}" for i in range(5)], emb,
                          n_candidates=100, seed=0)
 
+    @pytest.mark.parametrize("n_candidates", [-1, 0, 1])
+    def test_fewer_than_two_candidates_rejected(self, n_candidates):
+        table = self.make_pool(np.random.default_rng(12), 5)
+        emb = dict_embedder(table, 5)
+        with pytest.raises(ValueError, match="n_candidates must be >= 2"):
+            ev.rank_topk(["q0"], ["resp0"], [f"resp{i}" for i in range(5)], emb,
+                         n_candidates=n_candidates, seed=0)
+
     def test_monotone_in_k(self):
         rng = np.random.default_rng(11)
         table = self.make_pool(rng, 60)
@@ -354,6 +362,18 @@ class TestActionProbe:
         X = emb([t for t, _ in data])
         scores = ev._sigmoid(X @ probe.W + probe.b)
         assert np.all(scores == 0.5)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"epochs": -1}, "epochs must be >= 0"),
+        ({"lr": float("nan")}, "lr must be finite and positive"),
+        ({"lr": float("inf")}, "lr must be finite and positive"),
+        ({"lr": 0.0}, "lr must be finite and positive"),
+        ({"lr": -1.0}, "lr must be finite and positive"),
+    ])
+    def test_bad_epochs_or_lr_rejected(self, kwargs, message):
+        table, data = self.make_data(np.random.default_rng(17))
+        with pytest.raises(ValueError, match=message):
+            ev.train_action_probe(data, dict_embedder(table, 4), num_labels=2, **kwargs)
 
     def test_gradient_finite_differences(self):
         rng = np.random.default_rng(16)

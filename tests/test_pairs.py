@@ -3,15 +3,11 @@ import pytest
 
 from dse.corpus import Dialogue, Speaker, Turn, passes_length_filter
 from dse.pairs import (
+    STRATEGIES,
     PairBuildConfig,
     PairFileError,
-    PairSource,
     TrainPair,
-    build_combined,
-    build_consecutive,
-    build_k_to_1,
     build_pairs,
-    build_self_pairs,
     load_pair_file,
     save_pair_file,
 )
@@ -57,90 +53,83 @@ class TestConsecutive:
             "what type of food do you like",
             "I want some pizza here",
         ])
-        out = build_consecutive([d])
+        out = build_pairs([d], "consec")
         assert [(p.query, p.response) for p in out] == [
             ("I am looking for restaurants", "what type of food do you like"),
             ("what type of food do you like", "I want some pizza here"),
         ]
-        assert all(p.source is PairSource.CONSEC_1_1 for p in out)
 
     def test_single_surviving_turn(self):
         d = make_dialogue([LONG[0]])
-        assert build_consecutive([d]) == []
+        assert build_pairs([d], "consec") == []
 
     def test_counting_identity(self):
         for n in (2, 5, 9):
             d = make_dialogue(LONG[:n])
-            assert len(build_consecutive([d])) == n - 1
+            assert len(build_pairs([d], "consec")) == n - 1
 
     def test_filtered_turn_breaks_adjacency(self):
         d = make_dialogue([LONG[0], "thank you", LONG[1]])
-        assert build_consecutive([d]) == []
+        assert build_pairs([d], "consec") == []
 
     def test_filter_off(self):
         d = make_dialogue([LONG[0], "thank you", LONG[1]])
-        out = build_consecutive([d], PairBuildConfig(apply_length_filter=False))
+        out = build_pairs([d], "consec", PairBuildConfig(apply_length_filter=False))
         assert len(out) == 2
 
 
 class TestKTo1:
     def test_paper_layout(self):
         d = make_dialogue(LONG[:4])
-        out = build_k_to_1([d], 2)
+        out = build_pairs([d], "k2")
         assert [(p.query, p.response) for p in out] == [
             (f"{LONG[0]} [SEP] {LONG[1]}", LONG[2]),
             (f"{LONG[1]} [SEP] {LONG[2]}", LONG[3]),
         ]
-        assert all(p.source is PairSource.CONSEC_2_1 for p in out)
 
     def test_too_short(self):
         d = make_dialogue(LONG[:3])
-        assert build_k_to_1([d], 3) == []
+        assert build_pairs([d], "k3") == []
 
     def test_counting(self):
         d = make_dialogue(LONG[:5])
-        assert len(build_k_to_1([d], 3)) == 2
-
-    def test_bad_k(self):
-        with pytest.raises(ValueError):
-            build_k_to_1([], 4)
+        assert len(build_pairs([d], "k3")) == 2
 
 
 class TestCombined:
     @pytest.mark.parametrize("n,expected", [(4, 6), (3, 3), (10, 24)])
     def test_counting(self, n, expected):
         d = make_dialogue(LONG[:n])
-        assert len(build_combined([d])) == expected
+        assert len(build_pairs([d], "combined")) == expected
 
     def test_multiset_union(self):
         d = make_dialogue(LONG[:6])
-        combined = [(p.query, p.response) for p in build_combined([d])]
+        combined = [(p.query, p.response) for p in build_pairs([d], "combined")]
         union = []
-        for width in (1, 2, 3):
-            fn = build_consecutive if width == 1 else lambda ds, w=width: build_k_to_1(ds, w)
-            union += [(p.query, p.response) for p in fn([d])]
+        for strategy in ("consec", "k2", "k3"):
+            union += [(p.query, p.response) for p in build_pairs([d], strategy)]
         assert sorted(combined) == sorted(union)
 
 
 class TestSelfPairs:
     def test_dedup(self):
         d = make_dialogue(["find me some restaurants"] * 3)
-        out = build_self_pairs([d])
+        out = build_pairs([d], "self")
         assert len(out) == 1
         assert out[0].query == out[0].response
 
     def test_two_distinct(self):
         d = make_dialogue([LONG[0], LONG[1]])
-        out = build_self_pairs([d])
+        out = build_pairs([d], "self")
         assert len(out) == 2
-        assert all(p.query == p.response and p.source is PairSource.SELF for p in out)
+        assert all(p.query == p.response for p in out)
 
     def test_unique_leq_total(self):
         dialogues = [make_dialogue(LONG[:5], f"d{i}") for i in range(4)]
         total_surviving = sum(
             1 for d in dialogues for t in d.turns if passes_length_filter(t.text)
         )
-        assert len(build_self_pairs(dialogues)) <= total_surviving
+        assert len(build_pairs(dialogues, "self")) <= total_surviving
 
 
 class TestRandomizedCountLaws:
@@ -153,9 +142,8 @@ class TestRandomizedCountLaws:
                 words = int(rng.integers(1, 8))  # some pass the filter, some fail
                 texts.append(" ".join(f"w{rng.integers(100)}" for _ in range(words)))
             d = make_dialogue(texts, f"d{trial}")
-            for width in (1, 2, 3):
-                fn = build_consecutive if width == 1 else lambda ds, w=width: build_k_to_1(ds, w)
-                got = [(p.query, p.response) for p in fn([d])]
+            for width, strategy in ((1, "consec"), (2, "k2"), (3, "k3")):
+                got = [(p.query, p.response) for p in build_pairs([d], strategy)]
                 assert got == brute_force_pairs(texts, width, apply_filter=True)
                 # per contiguous surviving run of length m, max(0, m-width) pairs
                 expected = sum(
@@ -169,7 +157,7 @@ class TestRandomizedCountLaws:
         for trial in range(100):
             texts = [" ".join("w" for _ in range(int(rng.integers(1, 8)))) for _ in range(6)]
             d = make_dialogue(texts, f"d{trial}")
-            for p in build_combined([d]):
+            for p in build_pairs([d], "combined"):
                 for part in p.query.split(" [SEP] ") + [p.response]:
                     assert passes_length_filter(part)
 
@@ -188,18 +176,59 @@ def _runs(texts):
     return runs
 
 
+WIDTHS = {"consec": (1,), "k2": (2,), "k3": (3,), "combined": (1, 2, 3)}
+
+
+def reference_pairs(dialogues, strategy, apply_filter):
+    """Window strategies by the brute-force enumerator; self by a plain strip-and-dedup loop."""
+    if strategy in WIDTHS:
+        return [pair for width in WIDTHS[strategy] for d in dialogues
+                for pair in brute_force_pairs([t.text for t in d.turns], width, apply_filter)]
+    seen, out = set(), []
+    for d in dialogues:
+        for t in d.turns:
+            text = t.text.strip()
+            if (not apply_filter or passes_length_filter(text)) and text not in seen:
+                seen.add(text)
+                out.append((text, text))
+    return out
+
+
+def mixed_corpus():
+    """Filtered turns, one-turn runs and whitespace-padded duplicates (a 3-word vocabulary)."""
+    rng = np.random.default_rng(2)
+    dialogues = []
+    for i in range(60):
+        texts = []
+        for _ in range(int(rng.integers(1, 9))):
+            text = " ".join(f"w{rng.integers(3)}" for _ in range(int(rng.integers(1, 8))))
+            texts.append(f"  {text} " if rng.random() < 0.3 else text)
+        dialogues.append(make_dialogue(texts, f"d{i}"))
+    return dialogues
+
+
 class TestStrategyDispatch:
     def test_names(self):
+        assert STRATEGIES == ("consec", "k2", "k3", "combined", "self")
         d = make_dialogue(LONG[:5])
-        assert build_pairs([d], "consec") == build_consecutive([d])
-        assert build_pairs([d], "k2") == build_k_to_1([d], 2)
-        assert build_pairs([d], "combined") == build_combined([d])
-        with pytest.raises(ValueError):
-            build_pairs([d], "nope")
+        for name in ("nope", "k4", "file"):
+            with pytest.raises(ValueError, match=repr(name)):
+                build_pairs([d], name)
+        with pytest.raises(ValueError, match="'k4'"):
+            build_pairs([], "k4")
+
+    @pytest.mark.parametrize("apply_filter", [True, False], ids=["filter", "nofilter"])
+    @pytest.mark.parametrize("strategy", ["consec", "k2", "k3", "combined", "self"])
+    def test_matches_reference(self, strategy, apply_filter):
+        dialogues = mixed_corpus()
+        got = build_pairs(dialogues, strategy, PairBuildConfig(apply_length_filter=apply_filter))
+        want = reference_pairs(dialogues, strategy, apply_filter)
+        assert want
+        assert [(p.query, p.response) for p in got] == want
 
     def test_determinism(self):
         dialogues = [make_dialogue(LONG[:6], f"d{i}") for i in range(3)]
-        assert build_combined(dialogues) == build_combined(dialogues)
+        assert build_pairs(dialogues, "combined") == build_pairs(dialogues, "combined")
 
 
 class TestPairFile:
@@ -210,7 +239,6 @@ class TestPairFile:
         assert [(x.query, x.response) for x in out] == [
             ("a b c d", "e f g h"), ("q q q q", "r r r r"),
         ]
-        assert all(x.source is PairSource.FILE for x in out)
 
     def test_empty(self, tmp_path):
         p = tmp_path / "pairs.tsv"
@@ -231,7 +259,7 @@ class TestPairFile:
             load_pair_file(p)
 
     def test_save_load(self, tmp_path):
-        pairs = [TrainPair("a b", "c d", PairSource.FILE)]
+        pairs = [TrainPair("a b", "c d")]
         p = tmp_path / "out.tsv"
         save_pair_file(pairs, p)
         assert [(x.query, x.response) for x in load_pair_file(p)] == [("a b", "c d")]

@@ -8,7 +8,7 @@ from dse.corpus import gen_synthetic, tokenize
 from dse.encoder import EncoderConfig, init_model, param_shapes
 from dse.encoder import GradientSet
 from dse.loss import LossConfig
-from dse.pairs import PairSource, TrainPair, build_consecutive
+from dse.pairs import TrainPair, build_pairs
 from dse.trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -55,8 +55,7 @@ def state_bytes(model, state):
 
 def make_pairs(n):
     return [
-        TrainPair(query=f"query number {i} text here", response=f"response number {i} text here",
-                  source=PairSource.CONSEC_1_1)
+        TrainPair(query=f"query number {i} text here", response=f"response number {i} text here")
         for i in range(n)
     ]
 
@@ -223,7 +222,7 @@ class TestTrain:
 
     def test_loss_decreases_on_synthetic(self):
         dialogues = gen_synthetic(4, 20, 4, 5, seed=0)
-        pairs = build_consecutive(dialogues)
+        pairs = build_pairs(dialogues, "consec")
         cfg = TrainConfig(batch_size=32, epochs=5)
         result = train(pairs, EncoderConfig(vocab_size=2000), LossConfig(), cfg)
         assert result.epoch_losses[-1] < result.epoch_losses[0]
@@ -231,7 +230,7 @@ class TestTrain:
     def test_each_distinct_text_tokenized_once(self, monkeypatch):
         # Consecutive pairs: each response is the next pair's query.
         texts = [f"utterance {i} of the dialogue" for i in range(13)]
-        pairs = [TrainPair(query=q, response=r, source=PairSource.CONSEC_1_1) for q, r in zip(texts, texts[1:])]
+        pairs = [TrainPair(query=q, response=r) for q, r in zip(texts, texts[1:])]
         calls = []
         tokenize_texts = trainer.tokenize_texts
         monkeypatch.setattr(trainer, "tokenize_texts", lambda t, cfg: calls.append(list(t)) or tokenize_texts(t, cfg))
