@@ -95,6 +95,10 @@ class TestKTo1:
         d = make_dialogue(LONG[:5])
         assert len(build_pairs([d], "k3")) == 2
 
+    def test_bad_k(self):
+        with pytest.raises(ValueError):
+            build_pairs([], "k4")
+
 
 class TestCombined:
     @pytest.mark.parametrize("n,expected", [(4, 6), (3, 3), (10, 24)])
