@@ -1,13 +1,12 @@
 """Command-line surface: corpus -> pairs -> training -> evaluation.
 
-The config keys are the fields of the config dataclasses, with their types
-and defaults, plus the few run-level keys in RUN_DEFAULTS; each is a flag.
-Every command resolves its configuration from (in increasing precedence)
-built-in defaults, an optional --preset, an optional key=value config
-file, and command-line flags, then prints the fully resolved config with
-per-field provenance before running. ``--preset paper`` pins the
-published hyperparameters (batch 1024, 15 epochs, temperature 0.05,
-lr 3e-4 head / 3e-6 backbone, 128-dim head output).
+Each command takes only the config keys it reads: the fields of the config
+dataclasses it uses and the run-level keys of RUN_DEFAULTS it needs. It
+resolves them from (in increasing precedence) defaults, ``--preset`` (where
+the preset sets one of them), a ``key=value`` ``--config`` file and flags,
+and prints them with per-field provenance before running. ``--preset
+paper`` pins the published hyperparameters (batch 1024, 15 epochs,
+temperature 0.05, lr 3e-4 head / 3e-6 backbone, 128-dim head output).
 """
 
 from __future__ import annotations
@@ -45,36 +44,29 @@ RUN_DEFAULTS: dict[str, object] = {
     "probe_lr": 1.0,
 }
 
-CONFIG_CLASSES = (PairBuildConfig, EncoderConfig, LossConfig, TrainConfig, ev.OOSConfig)
-
-
-def _schema() -> dict[str, tuple[type, object]]:
-    """Every CLI key -> (type, default): the run-level keys plus each config-dataclass field."""
-    schema = {key: (type(value), value) for key, value in RUN_DEFAULTS.items()}
-    for cls in CONFIG_CLASSES:
-        types = typing.get_type_hints(cls)
-        schema.update((f.name, (types[f.name], f.default)) for f in fields(cls))
-    return schema
-
-
-SCHEMA = _schema()
-
 PRESETS: dict[str, dict[str, object]] = {"paper": PAPER_HYPERPARAMETERS}
 
 
 class RunConfig:
-    """Resolved configuration with per-field provenance."""
+    """Resolved values and provenance of ``reads``: config dataclasses (each field) and run-level keys."""
 
-    def __init__(self) -> None:
-        self.values = {key: default for key, (_, default) in SCHEMA.items()}
-        self.provenance = dict.fromkeys(SCHEMA, "default")
+    def __init__(self, *reads) -> None:
+        self.schema: dict[str, tuple[type, object]] = {}
+        for source in reads:
+            if isinstance(source, str):
+                self.schema[source] = (type(RUN_DEFAULTS[source]), RUN_DEFAULTS[source])
+            else:
+                types = typing.get_type_hints(source)
+                self.schema.update((f.name, (types[f.name], f.default)) for f in fields(source))
+        self.values = {key: default for key, (_, default) in self.schema.items()}
+        self.provenance = dict.fromkeys(self.schema, "default")
 
     def apply_preset(self, name: str) -> None:
         preset = PRESETS.get(name)
         if preset is None:
             raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESETS)}")
-        for k, v in preset.items():
-            self.values[k] = v
+        for k in preset.keys() & self.values.keys():
+            self.values[k] = preset[k]
             self.provenance[k] = f"preset:{name}"
 
     def apply_file(self, path: str) -> None:
@@ -85,13 +77,13 @@ class RunConfig:
                     continue
                 key, sep, raw = line.partition("=")
                 key = key.strip()
-                if not sep or key not in SCHEMA:
-                    raise ValueError(f"{path}:{lineno}: unknown config field {key!r}")
-                self.values[key] = parse_value(key, SCHEMA[key][0], raw.strip())
+                if not sep or key not in self.schema:
+                    raise ValueError(f"{path}:{lineno}: {key!r} is not a config key of this command")
+                self.values[key] = parse_value(key, self.schema[key][0], raw.strip())
                 self.provenance[key] = "config-file"
 
     def apply_flags(self, args: argparse.Namespace) -> None:
-        for key in SCHEMA:
+        for key in self.schema:
             val = getattr(args, key, None)
             if val is not None:
                 self.values[key] = val
@@ -109,14 +101,15 @@ class RunConfig:
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
+    cfg = RunConfig(*args.reads)
     if getattr(args, "preset", None):
         cfg.apply_preset(args.preset)
     if getattr(args, "config", None):
         cfg.apply_file(args.config)
     cfg.apply_flags(args)
-    print("# resolved configuration")
-    cfg.dump()
+    if cfg.values:
+        print("# resolved configuration")
+        cfg.dump()
     return cfg
 
 
@@ -177,8 +170,9 @@ def cmd_embed(args, cfg: RunConfig) -> int:
 def cmd_inspect(args, cfg: RunConfig) -> int:
     emb = ev.load_embeddings(args.infile)
     print(f"n={emb.shape[0]} dim={emb.shape[1]}")
-    norms = np.linalg.norm(emb, axis=1)
-    print(f"norm min={norms.min():.6f} mean={norms.mean():.6f} max={norms.max():.6f}")
+    if len(emb):
+        norms = np.linalg.norm(emb, axis=1)
+        print(f"norm min={norms.min():.6f} mean={norms.mean():.6f} max={norms.max():.6f}")
     return 0
 
 
@@ -233,13 +227,17 @@ def cmd_eval_nli(args, cfg: RunConfig) -> int:
 
 
 def cmd_eval_actions(args, cfg: RunConfig) -> int:
+    epochs, lr = cfg.values["probe_epochs"], cfg.values["probe_lr"]
+    if epochs < 0:
+        raise ValueError(f"probe_epochs must be >= 0, got {epochs}")
+    if not 0.0 < lr < float("inf"):
+        raise ValueError(f"probe_lr must be finite and positive, got {lr}")
     embedder = _make_embedder(load_checkpoint(args.ckpt))
     train_items, names = ev.load_multilabel_tsv(args.train_data)
     test_items, test_names = ev.load_multilabel_tsv(args.data)
     if test_names != names:
         raise ValueError("train and test label sets differ")
-    probe = ev.train_action_probe(train_items, embedder, num_labels=len(names),
-                                  epochs=cfg.values["probe_epochs"], lr=cfg.values["probe_lr"])
+    probe = ev.train_action_probe(train_items, embedder, num_labels=len(names), epochs=epochs, lr=lr)
     pred = ev.predict_actions(probe, [t for t, _ in test_items], embedder)
     gold = np.stack([y for _, y in test_items])
     micro, macro = ev.f1_scores(gold, pred)
@@ -257,6 +255,7 @@ def run_epoch_study(
     intent_set: ev.LabeledSet,
     shots: int = 1,
     eval_seed: int = 0,
+    pair_cfg: PairBuildConfig | None = None,
 ) -> dict[str, list[ev.EvalReport]]:
     """Per-epoch evaluation of the consecutive-pair and self-pair variants.
 
@@ -271,7 +270,7 @@ def run_epoch_study(
     gold = [l for _, l in validation.items]
 
     for strategy in ("consec", "self"):
-        pairs = build_pairs(dialogues, strategy)
+        pairs = build_pairs(dialogues, strategy, pair_cfg)
         rows: list[ev.EvalReport] = []
 
         def hook(ckpt: Checkpoint, losses: list[float]) -> None:
@@ -296,6 +295,7 @@ def cmd_epoch_study(args, cfg: RunConfig) -> int:
     results = run_epoch_study(
         dialogues, cfg.build(EncoderConfig), cfg.build(LossConfig), cfg.build(TrainConfig),
         intent_set, shots=cfg.values["shots"], eval_seed=cfg.values["seed"],
+        pair_cfg=cfg.build(PairBuildConfig),
     )
     for strategy, rows in results.items():
         for epoch, row in enumerate(rows, start=1):
@@ -329,36 +329,40 @@ def _flag_type(key: str, typ: type):
     return convert
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--preset", choices=sorted(PRESETS))
-    parser.add_argument("--config", help="key=value config file")
-    for key, (typ, _) in SCHEMA.items():
+def _add_config_flags(parser: argparse.ArgumentParser, schema: dict[str, tuple[type, object]]) -> None:
+    presets = sorted(name for name, preset in PRESETS.items() if preset.keys() & schema.keys())
+    if presets:
+        parser.add_argument("--preset", choices=presets)
+    if schema:
+        parser.add_argument("--config", help="key=value config file")
+    for key, (typ, _) in schema.items():
         parser.add_argument(f"--{key.replace('_', '-')}", dest=key, type=_flag_type(key, typ))
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dse", description=__doc__)
     sub = parser.add_subparsers(dest="command")
+    training = (EncoderConfig, LossConfig, TrainConfig)
 
-    def add(name: str, func, **kwargs) -> argparse.ArgumentParser:
+    def add(name: str, func, reads: tuple = (), **kwargs) -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
-        _add_common(p)
-        p.set_defaults(func=func)
+        _add_config_flags(p, RunConfig(*reads).schema)
+        p.set_defaults(func=func, reads=reads)
         return p
 
-    p = add("synth", cmd_synth, help="generate a synthetic topic-structured corpus")
+    p = add("synth", cmd_synth, ("seed",), help="generate a synthetic topic-structured corpus")
     p.add_argument("--topics", type=int, required=True)
     p.add_argument("--dialogues", type=int, default=100)
     p.add_argument("--turns", type=int, default=6)
     p.add_argument("--words", type=int, default=6)
     p.add_argument("--out", required=True)
 
-    p = add("build-pairs", cmd_build_pairs, help="construct contrastive pairs")
+    p = add("build-pairs", cmd_build_pairs, (PairBuildConfig,), help="construct contrastive pairs")
     p.add_argument("--strategy", required=True, choices=[*STRATEGIES, "file"])
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
 
-    p = add("train", cmd_train, help="contrastive training")
+    p = add("train", cmd_train, training, help="contrastive training")
     p.add_argument("--pairs", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--epoch-ckpt-dir", help="also save a checkpoint after every epoch")
@@ -371,17 +375,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("inspect", cmd_inspect, help="summarize an embedding file")
     p.add_argument("infile")
 
-    p = add("eval-intent", cmd_eval_intent, help="few-shot prototypical intent accuracy")
+    p = add("eval-intent", cmd_eval_intent, ("seed", "shots"), help="few-shot prototypical intent accuracy")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True, help="TSV: text<TAB>label")
     p.add_argument("--out")
 
-    p = add("eval-oos", cmd_eval_oos, help="out-of-scope detection metrics")
+    p = add("eval-oos", cmd_eval_oos, (ev.OOSConfig, "seed", "shots"), help="out-of-scope detection metrics")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True, help="TSV with 'oos' as the out-of-scope label")
     p.add_argument("--out")
 
-    p = add("eval-rank", cmd_eval_rank, help="top-k response selection")
+    p = add("eval-rank", cmd_eval_rank, ("seed", "n_candidates"), help="top-k response selection")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True, help="TSV pair file: query<TAB>response")
     p.add_argument("--out")
@@ -391,13 +395,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="TSV: anchor<TAB>entailment<TAB>contradiction")
     p.add_argument("--out")
 
-    p = add("eval-actions", cmd_eval_actions, help="multi-label action prediction probe")
+    p = add("eval-actions", cmd_eval_actions, ("probe_epochs", "probe_lr"), help="multi-label action probe")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--train-data", required=True, help="TSV: text<TAB>l1,l2,...")
     p.add_argument("--data", required=True)
     p.add_argument("--out")
 
-    p = add("epoch-study", cmd_epoch_study, help="per-epoch eval of consec vs self pairs")
+    p = add("epoch-study", cmd_epoch_study, (PairBuildConfig, *training, "seed", "shots"),
+            help="per-epoch eval of consec vs self pairs")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--intent-data", required=True)
     p.add_argument("--out")

@@ -295,7 +295,6 @@ def train_action_probe(
     num_labels: int,
     epochs: int = 200,
     lr: float = 1.0,
-    seed: int = 0,
 ) -> ActionProbe:
     """Fit a zero-initialized linear multi-label probe on frozen embeddings.
 
@@ -393,7 +392,7 @@ def load_embeddings(path: str | Path) -> np.ndarray:
                 raise EmbeddingFileError(f"line {lineno}: {exc}") from None
     if len(rows) != n:
         raise EmbeddingFileError(f"header says {n} rows, file has {len(rows)}")
-    return np.array(rows, dtype=np.float64)
+    return np.array(rows, dtype=np.float64).reshape(n, dim)
 
 
 def load_labeled_tsv(path: str | Path) -> LabeledSet:

@@ -1,8 +1,12 @@
 import json
+import re
+import shlex
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from dse.cli import RunConfig, build_parser, main, run_epoch_study
+from dse.cli import RUN_DEFAULTS, RunConfig, build_parser, main, run_epoch_study
 from dse.corpus import gen_synthetic, load_corpus, topic_of_dialogue
 from dse.encoder import EncoderConfig
 from dse.evaluation import LabeledSet, OOSConfig, ThresholdRule
@@ -17,6 +21,7 @@ def run(args, capsys):
     return code, out.out, out.err
 
 
+# A small model for the commands that train (train, epoch-study).
 SMALL_FLAGS = [
     "--vocab-size", "500", "--embed-dim", "8", "--head-hidden", "8",
     "--head-out", "6", "--batch-size", "16", "--epochs", "2",
@@ -58,18 +63,30 @@ def intent_tsv(tmp_path, corpus_path, include_oos=False):
     return p
 
 
+def config_lines(stdout):
+    """The ``key=value  # provenance`` lines of a resolved-configuration dump."""
+    return [line for line in stdout.splitlines() if re.fullmatch(r"\w+=\S+  # \S+", line)]
+
+
+@pytest.fixture
+def tiny_pairs(tmp_path):
+    p = tmp_path / "tiny.tsv"
+    p.write_text("one two three four\tfive six seven eight\n"
+                 "nine ten eleven twelve\tthirteen fourteen fifteen sixteen\n")
+    return p
+
+
 class TestResolvedConfig:
     def test_defaults_printed(self, tmp_path, capsys):
         p = tmp_path / "c.jsonl"
         code, out, _ = run(["synth", "--topics", "2", "--dialogues", "2", "--out", str(p)], capsys)
         assert code == 0
         assert "# resolved configuration" in out
-        assert "temperature=0.05  # default" in out
+        assert config_lines(out) == ["seed=0  # default"]
 
-    def test_paper_preset(self, tmp_path, capsys):
-        p = tmp_path / "c.jsonl"
-        code, out, _ = run(["synth", "--preset", "paper", "--topics", "2",
-                            "--dialogues", "2", "--out", str(p)], capsys)
+    def test_paper_preset(self, tmp_path, tiny_pairs, capsys):
+        code, out, _ = run(["train", "--preset", "paper", "--pairs", str(tiny_pairs),
+                            "--out", str(tmp_path / "m.ckpt")], capsys)
         assert code == 0
         assert "batch_size=1024  # preset:paper" in out
         assert "epochs=15  # preset:paper" in out
@@ -77,20 +94,25 @@ class TestResolvedConfig:
         assert "lr_head=0.0003  # preset:paper" in out
         assert "lr_backbone=3e-06  # preset:paper" in out
         assert "head_out=128  # preset:paper" in out
+        # build-pairs reads one key of the preset and resolves only that one
+        corpus = tmp_path / "c.jsonl"
+        run(["synth", "--topics", "2", "--dialogues", "2", "--out", str(corpus)], capsys)
+        code, out, _ = run(["build-pairs", "--preset", "paper", "--strategy", "consec",
+                            "--in", str(corpus), "--out", str(tmp_path / "p.tsv")], capsys)
+        assert code == 0
+        assert config_lines(out) == ["apply_length_filter=True  # preset:paper"]
 
-    def test_flag_overrides_preset(self, tmp_path, capsys):
-        p = tmp_path / "c.jsonl"
-        code, out, _ = run(["synth", "--preset", "paper", "--epochs", "3",
-                            "--topics", "2", "--dialogues", "2", "--out", str(p)], capsys)
+    def test_flag_overrides_preset(self, tmp_path, tiny_pairs, capsys):
+        code, out, _ = run(["train", "--preset", "paper", "--epochs", "3", "--pairs", str(tiny_pairs),
+                            "--out", str(tmp_path / "m.ckpt")], capsys)
         assert code == 0
         assert "epochs=3  # flag" in out
 
-    def test_config_file_layer(self, tmp_path, capsys):
+    def test_config_file_layer(self, tmp_path, tiny_pairs, capsys):
         cf = tmp_path / "run.cfg"
         cf.write_text("# comment\ntemperature=0.2\nhard_negatives=false\n")
-        p = tmp_path / "c.jsonl"
-        code, out, _ = run(["synth", "--config", str(cf), "--topics", "2",
-                            "--dialogues", "2", "--out", str(p)], capsys)
+        code, out, _ = run(["train", "--config", str(cf), "--pairs", str(tiny_pairs),
+                            "--out", str(tmp_path / "m.ckpt")] + SMALL_FLAGS, capsys)
         assert code == 0
         assert "temperature=0.2  # config-file" in out
         assert "hard_negatives=False  # config-file" in out
@@ -103,17 +125,27 @@ class TestResolvedConfig:
         assert code == 1
         assert "no_such_field" in err
 
+    def test_unread_config_key(self, tmp_path, trained, capsys):
+        pairs, ckpt = trained
+        cf = tmp_path / "run.cfg"
+        cf.write_text("seed=3\n\ntemperature=0.2\n")
+        code, stdout, err = run(["eval-rank", "--ckpt", str(ckpt), "--data", str(pairs),
+                                 "--config", str(cf)], capsys)
+        assert code == 1
+        assert err == f"error: {cf}:3: 'temperature' is not a config key of this command\n"
+        assert "Top-1=" not in stdout
+
     def test_paper_preset_is_the_trainer_preset(self):
-        cfg = RunConfig()
+        cfg = RunConfig(TrainConfig)
         cfg.apply_preset("paper")
         assert cfg.build(TrainConfig) == paper_preset()
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
-            RunConfig().apply_preset("nope")
+            RunConfig(TrainConfig).apply_preset("nope")
 
     def test_config_objects(self):
-        cfg = RunConfig()
+        cfg = RunConfig(EncoderConfig, LossConfig, TrainConfig)
         cfg.apply_preset("paper")
         assert isinstance(cfg.build(EncoderConfig), EncoderConfig)
         assert isinstance(cfg.build(LossConfig), LossConfig)
@@ -121,30 +153,29 @@ class TestResolvedConfig:
         assert isinstance(tc, TrainConfig)
         assert tc.batch_size == 1024 and tc.lr_backbone == pytest.approx(3e-6)
 
-    def test_enum_field_from_file_and_flag(self, tmp_path, capsys):
+    def test_enum_field_from_file_and_flag(self, tmp_path, corpus_path, trained, capsys):
+        _, ckpt = trained
+        data = intent_tsv(tmp_path, corpus_path, include_oos=True)
         cf = tmp_path / "run.cfg"
         cf.write_text("threshold_rule=mean_minus_std\n")
-        p = tmp_path / "c.jsonl"
-        code, out, _ = run(["synth", "--config", str(cf), "--stats-population", "test_in_only",
-                            "--topics", "2", "--dialogues", "2", "--out", str(p)], capsys)
+        args = ["eval-oos", "--ckpt", str(ckpt), "--data", str(data), "--config", str(cf)]
+        code, out, _ = run(args + ["--stats-population", "test_in_only"], capsys)
         assert code == 0
         assert "threshold_rule=mean_minus_std  # config-file" in out
         assert "stats_population=test_in_only  # flag" in out
         cf.write_text("threshold_rule=median\n")
-        code, _, err = run(["synth", "--config", str(cf), "--topics", "2",
-                            "--dialogues", "2", "--out", str(p)], capsys)
+        code, _, err = run(args, capsys)
         assert code == 1
         assert "threshold_rule" in err and "mean_minus_std" in err
 
     def test_schema_is_the_dataclass_fields(self):
-        cfg = RunConfig()
-        assert cfg.build(PairBuildConfig) == PairBuildConfig()
-        oos = cfg.build(OOSConfig)
-        assert oos.threshold_rule is ThresholdRule.MEAN
-        assert cfg.build(EncoderConfig) == EncoderConfig()
-        assert cfg.build(TrainConfig) == TrainConfig()
-        assert "max_history_tokens" not in cfg.values
-        assert len(cfg.values) == 23
+        for cls in (PairBuildConfig, EncoderConfig, LossConfig, TrainConfig, OOSConfig):
+            assert RunConfig(cls).build(cls) == cls()
+        assert RunConfig(OOSConfig).values["threshold_rule"] is ThresholdRule.MEAN
+        assert RunConfig(*RUN_DEFAULTS).values == RUN_DEFAULTS
+        every = RunConfig(PairBuildConfig, EncoderConfig, LossConfig, TrainConfig, OOSConfig, *RUN_DEFAULTS)
+        assert "max_history_tokens" not in every.values
+        assert len(every.values) == 23
 
 
 class TestCommandPlumbing:
@@ -240,12 +271,22 @@ class TestCommandPlumbing:
         texts = tmp_path / "texts.txt"
         texts.write_text("hello world one two\nanother line of text\n")
         emb = tmp_path / "emb.txt"
-        code, _, _ = run(["embed", "--ckpt", str(ckpt), "--in", str(texts),
-                          "--out", str(emb)] + SMALL_FLAGS, capsys)
+        code, _, _ = run(["embed", "--ckpt", str(ckpt), "--in", str(texts), "--out", str(emb)], capsys)
         assert code == 0
         code, stdout, _ = run(["inspect", str(emb)], capsys)
         assert code == 0
         assert "n=2 dim=8" in stdout
+
+    def test_embed_then_inspect_no_text(self, tmp_path, trained, capsys):
+        _, ckpt = trained
+        texts = tmp_path / "blank.txt"
+        texts.write_text("\n  \n")
+        emb = tmp_path / "emb.txt"
+        code, stdout, _ = run(["embed", "--ckpt", str(ckpt), "--in", str(texts), "--out", str(emb)], capsys)
+        assert code == 0
+        assert "wrote 0 x 8 embeddings" in stdout
+        code, stdout, err = run(["inspect", str(emb)], capsys)
+        assert (code, stdout, err) == (0, "n=0 dim=8\n", "")
 
     def test_train_writes_epoch_checkpoints(self, tmp_path, corpus_path, capsys):
         pairs = tmp_path / "p.tsv"
@@ -265,7 +306,7 @@ class TestEvalCommands:
         data = intent_tsv(tmp_path, corpus_path)
         report_path = tmp_path / "report.json"
         code, stdout, _ = run(["eval-intent", "--ckpt", str(ckpt), "--data", str(data),
-                               "--out", str(report_path), "--shots", "2"] + SMALL_FLAGS, capsys)
+                               "--out", str(report_path), "--shots", "2"], capsys)
         assert code == 0
         assert "Accuracy=" in stdout
         report = json.loads(report_path.read_text())
@@ -276,7 +317,7 @@ class TestEvalCommands:
         _, ckpt = trained
         data = intent_tsv(tmp_path, corpus_path)
         code, _, stderr = run(["eval-intent", "--ckpt", str(ckpt), "--data", str(data),
-                               "--shots", "-1"] + SMALL_FLAGS, capsys)
+                               "--shots", "-1"], capsys)
         assert code == 1
         assert stderr.startswith("error: ") and "shots" in stderr
 
@@ -284,7 +325,7 @@ class TestEvalCommands:
         _, ckpt = trained
         data = intent_tsv(tmp_path, corpus_path, include_oos=True)
         code, stdout, _ = run(["eval-oos", "--ckpt", str(ckpt), "--data", str(data),
-                               "--shots", "2"] + SMALL_FLAGS, capsys)
+                               "--shots", "2"], capsys)
         assert code == 0
         for name in ("Accuracy", "In-Accuracy", "OOS-Accuracy", "OOS-Recall"):
             assert f"{name}=" in stdout
@@ -292,7 +333,7 @@ class TestEvalCommands:
     def test_eval_rank(self, tmp_path, trained, capsys):
         pairs, ckpt = trained
         code, stdout, _ = run(["eval-rank", "--ckpt", str(ckpt), "--data", str(pairs),
-                               "--n-candidates", "10"] + SMALL_FLAGS, capsys)
+                               "--n-candidates", "10"], capsys)
         assert code == 0
         assert "Top-1=" in stdout and "Top-3=" in stdout
 
@@ -300,7 +341,7 @@ class TestEvalCommands:
     def test_eval_rank_rejects_fewer_than_two_candidates(self, tmp_path, trained, capsys, value):
         pairs, ckpt = trained
         code, stdout, err = run(["eval-rank", "--ckpt", str(ckpt), "--data", str(pairs),
-                                 "--n-candidates", value] + SMALL_FLAGS, capsys)
+                                 "--n-candidates", value], capsys)
         assert code == 1
         assert err.startswith("error: n_candidates must be >= 2")
         assert "Top-1=" not in stdout
@@ -309,12 +350,12 @@ class TestEvalCommands:
         _, ckpt = trained
         data = tmp_path / "nli.tsv"
         data.write_text("book a table for two\treserve a table please\tcancel my flight now\n")
-        code, stdout, _ = run(["eval-nli", "--ckpt", str(ckpt), "--data", str(data)] + SMALL_FLAGS, capsys)
+        code, stdout, _ = run(["eval-nli", "--ckpt", str(ckpt), "--data", str(data)], capsys)
         assert code == 0
         assert "Accuracy=" in stdout
         with data.open("a") as fh:
             fh.write("\treserve it\tcancel now\n")
-        code, _, err = run(["eval-nli", "--ckpt", str(ckpt), "--data", str(data)] + SMALL_FLAGS, capsys)
+        code, _, err = run(["eval-nli", "--ckpt", str(ckpt), "--data", str(data)], capsys)
         assert code == 1
         assert err.startswith("error: line 2:")
 
@@ -326,14 +367,12 @@ class TestEvalCommands:
         test_data = tmp_path / "acts_test.tsv"
         test_data.write_text("please book something nice\tbook\njust cancel everything now\tcancel\n")
         code, stdout, _ = run(["eval-actions", "--ckpt", str(ckpt),
-                               "--train-data", str(train_data), "--data", str(test_data)] + SMALL_FLAGS,
-                              capsys)
+                               "--train-data", str(train_data), "--data", str(test_data)], capsys)
         assert code == 0
         assert "Micro-F1=" in stdout and "Macro-F1=" in stdout
         test_data.write_text("please book something nice\tbook\n")
         code, _, stderr = run(["eval-actions", "--ckpt", str(ckpt),
-                               "--train-data", str(train_data), "--data", str(test_data)] + SMALL_FLAGS,
-                              capsys)
+                               "--train-data", str(train_data), "--data", str(test_data)], capsys)
         assert code == 1
         assert stderr == "error: train and test label sets differ\n"
 
@@ -343,14 +382,15 @@ class TestEvalCommands:
         ("--probe-lr", "0", "lr must be finite and positive"),
         ("--probe-lr", "inf", "lr must be finite and positive"),
     ])
-    def test_eval_actions_rejects_bad_probe_settings(self, tmp_path, trained, capsys, flag, value, message):
-        _, ckpt = trained
+    def test_eval_actions_rejects_bad_probe_settings(self, tmp_path, capsys, flag, value, message):
         data = tmp_path / "acts.tsv"
         data.write_text("book a table now\tbook\ncancel it all please\tcancel\n")
-        code, stdout, err = run(["eval-actions", "--ckpt", str(ckpt), "--train-data", str(data),
-                                 "--data", str(data), flag, value] + SMALL_FLAGS, capsys)
+        # no checkpoint file: the settings are checked before it is loaded
+        code, stdout, err = run(["eval-actions", "--ckpt", str(tmp_path / "missing.ckpt"),
+                                 "--train-data", str(data), "--data", str(data), flag, value], capsys)
         assert code == 1
-        assert err.startswith(f"error: {message}")
+        # the error names the config key the user set
+        assert err.startswith(f"error: probe_{message}")
         assert "Micro-F1=" not in stdout
 
 
@@ -397,15 +437,84 @@ class TestEpochStudy:
         assert len(rows) == 4
         assert {r["task"] for r in rows} == {"epoch_study/consec", "epoch_study/self"}
 
+    def test_cli_length_filter_flag(self, tmp_path, corpus_path, capsys):
+        # a two-word turn in every dialogue: the filter drops it and the pairs around it
+        corpus = tmp_path / "short.jsonl"
+        lines = []
+        for line in corpus_path.read_text().splitlines():
+            dialogue = json.loads(line)
+            dialogue["turns"].insert(2, {"speaker": "usr", "text": "ok sure"})
+            lines.append(json.dumps(dialogue))
+        corpus.write_text("\n".join(lines) + "\n")
+        data = intent_tsv(tmp_path, corpus_path)
+        losses = {}
+        for value in ("true", "false"):
+            code, stdout, _ = run(["epoch-study", "--in", str(corpus), "--intent-data", str(data),
+                                   "--apply-length-filter", value] + SMALL_FLAGS, capsys)
+            assert code == 0
+            assert f"apply_length_filter={value.capitalize()}  # flag" in stdout
+            losses[value] = [line.split("TrainLoss=")[1] for line in stdout.splitlines()
+                             if line.startswith("consec epoch=")]
+        assert len(losses["true"]) == 2
+        assert losses["true"] != losses["false"]
+
+
+def subcommands():
+    parser = build_parser()
+    return next(a for a in parser._actions if hasattr(a, "choices") and a.choices).choices
+
+
+def keys_of(*classes):
+    return {f.name for cls in classes for f in fields(cls)}
+
+
+TRAINING_KEYS = keys_of(EncoderConfig, LossConfig, TrainConfig)
+# The config keys each command reads, with "preset"/"config" where it takes them.
+CONFIG_FLAGS = {
+    "synth": {"config", "seed"},
+    "build-pairs": {"preset", "config"} | keys_of(PairBuildConfig),
+    "train": {"preset", "config"} | TRAINING_KEYS,
+    "embed": set(),
+    "inspect": set(),
+    "eval-intent": {"config", "seed", "shots"},
+    "eval-oos": {"config", "seed", "shots"} | keys_of(OOSConfig),
+    "eval-rank": {"config", "seed", "n_candidates"},
+    "eval-nli": set(),
+    "eval-actions": {"config", "probe_epochs", "probe_lr"},
+    "epoch-study": {"preset", "config", "seed", "shots"} | keys_of(PairBuildConfig) | TRAINING_KEYS,
+}
+
 
 class TestParser:
-    def test_all_subcommands_have_common_flags(self):
+    def test_config_flags_per_subcommand(self):
+        every_key = {"preset", "config", *RUN_DEFAULTS} | TRAINING_KEYS | keys_of(PairBuildConfig, OOSConfig)
+        got = {}
+        for name, p in subcommands().items():
+            flags = {act.dest: act.option_strings for act in p._actions if act.dest in every_key}
+            for dest, options in flags.items():
+                assert options == [f"--{dest.replace('_', '-')}"], (name, dest)
+            got[name] = set(flags)
+        assert got == CONFIG_FLAGS
+        assert sum(map(len, got.values())) == 56
+
+    def test_unread_flag_is_a_usage_error(self, tmp_path, trained, capsys):
+        pairs, ckpt = trained
+        with pytest.raises(SystemExit) as exc:
+            main(["eval-rank", "--ckpt", str(ckpt), "--data", str(pairs), "--vocab-size", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --vocab-size 5" in capsys.readouterr().err
+
+    def test_readme_commands_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line, comments=True)
+                    for line in block.replace("\\\n", " ").splitlines()]
+        commands = [argv for argv in commands if argv]
+        assert all(argv[0] == "dse" for argv in commands)
+        assert {argv[1] for argv in commands} == set(subcommands())
         parser = build_parser()
-        sub = next(a for a in parser._actions if hasattr(a, "choices") and a.choices)
-        for name, p in sub.choices.items():
-            opts = {o for act in p._actions for o in act.option_strings}
-            assert "--preset" in opts, name
-            assert "--temperature" in opts, name
+        for argv in commands:
+            parser.parse_args(argv[1:])
 
     def test_strategy_choices_are_the_builder_strategies(self):
         parser = build_parser()
@@ -439,5 +548,6 @@ class TestParser:
 
     def test_bool_flag_error_names_field(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
-            main(["synth", "--apply-length-filter", "maybe", "--topics", "1",
-                  "--dialogues", "1", "--out", str(tmp_path / "x.jsonl")])
+            main(["build-pairs", "--apply-length-filter", "maybe", "--strategy", "consec",
+                  "--in", str(tmp_path / "c.jsonl"), "--out", str(tmp_path / "p.tsv")])
+        assert "field 'apply_length_filter': expected a boolean" in capsys.readouterr().err

@@ -491,6 +491,12 @@ class TestReportsAndEmbeddingIO:
         assert s1.read_bytes() == s2.read_bytes()
         assert np.allclose(loaded, emb)
 
+    def test_embedding_zero_rows_roundtrip(self, tmp_path):
+        p, sidecar = tmp_path / "e.txt", tmp_path / "e.texts"
+        ev.save_embeddings(np.zeros((0, 8)), [], p, sidecar)
+        assert p.read_text() == "0 8\n"
+        assert ev.load_embeddings(p).shape == (0, 8)
+
     def test_embedding_bad_header(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("nonsense\n")
