@@ -70,17 +70,16 @@ class RunConfig:
             self.provenance[k] = f"preset:{name}"
 
     def apply_file(self, path: str) -> None:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, sep, raw = line.partition("=")
-                key = key.strip()
-                if not sep or key not in self.schema:
-                    raise ValueError(f"{path}:{lineno}: {key!r} is not a config key of this command")
-                self.values[key] = parse_value(key, self.schema[key][0], raw.strip())
-                self.provenance[key] = "config-file"
+        for lineno, line in enumerate(corpus_mod.read_lines(path, ValueError), start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, sep, raw = line.partition("=")
+            key = key.strip()
+            if not sep or key not in self.schema:
+                raise ValueError(f"{path}:{lineno}: {key!r} is not a config key of this command")
+            self.values[key] = parse_value(key, self.schema[key][0], raw.strip())
+            self.provenance[key] = "config-file"
 
     def apply_flags(self, args: argparse.Namespace) -> None:
         for key in self.schema:
@@ -159,8 +158,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
 def cmd_embed(args, cfg: RunConfig) -> int:
     ckpt = load_checkpoint(args.ckpt)
-    with open(args.infile, encoding="utf-8") as fh:
-        texts = [line.rstrip("\n") for line in fh if line.strip()]
+    texts = [line.rstrip("\n") for line in corpus_mod.read_lines(args.infile, ValueError) if line.strip()]
     emb = embed_texts(ckpt.model, texts)
     ev.save_embeddings(emb, texts, args.out, str(args.out) + ".texts")
     print(f"wrote {emb.shape[0]} x {emb.shape[1]} embeddings to {args.out}")
@@ -347,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name: str, func, reads: tuple = (), **kwargs) -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
         _add_config_flags(p, RunConfig(*reads).schema)
-        p.set_defaults(func=func, reads=reads)
+        p.set_defaults(func=func, reads=reads, parser=p)
         return p
 
     p = add("synth", cmd_synth, ("seed",), help="generate a synthetic topic-structured corpus")
@@ -412,7 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unread = parser.parse_known_args(argv)
+    if unread:  # reported by the subcommand's parser, so that its usage is the one shown
+        getattr(args, "parser", parser).error(f"unrecognized arguments: {' '.join(unread)}")
     if not getattr(args, "command", None):
         parser.print_usage(sys.stderr)
         return 2

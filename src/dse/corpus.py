@@ -1,17 +1,14 @@
-"""Dialogue data model, JSONL ingestion, hashing tokenizer, and synthetic corpora.
+"""Dialogue data model, UTF-8 text and JSONL ingestion, and synthetic corpora.
 
 A corpus file is UTF-8 JSON Lines: one dialogue per line, formatted as
 ``{"id": str, "turns": [{"speaker": "usr"|"sys", "text": str}, ...]}``.
-
-Tokenization is deliberately trivial: lowercase, split on whitespace runs,
-and hash each word into a fixed-size id space with seeded 64-bit FNV-1a.
-Ids 0-2 are reserved for the special tokens [SEP], [SYS], [USR]; k-to-1
-queries join their utterances with [SEP].
+k-to-1 queries join their utterances with ``SEP_TOKEN``, which the
+tokenizer in ``dse.encoder`` maps to a reserved id.
 """
 
 from __future__ import annotations
 
-import functools
+import io
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -19,18 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-SEP_ID = 0
-SYS_ID = 1
-USR_ID = 2
-NUM_RESERVED = 3
-
 SEP_TOKEN = "[SEP]"
-
-_SPECIAL_IDS = {"[sep]": SEP_ID, "[sys]": SYS_ID, "[usr]": USR_ID}
-
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 class Speaker(Enum):
@@ -58,44 +44,19 @@ class Dialogue:
             raise ValueError(f"dialogue {self.id!r} has no turns")
 
 
-@dataclass(frozen=True)
-class TokenSeq:
-    """The token ids of one text, in word order."""
-
-    ids: tuple[int, ...]
-
-
 class CorpusFormatError(ValueError):
     pass
 
 
-def _fnv1a_64(data: bytes, seed: int) -> int:
-    h = (_FNV_OFFSET ^ (seed & _MASK64)) & _MASK64
-    for byte in data:
-        h ^= byte
-        h = (h * _FNV_PRIME) & _MASK64
-    return h
-
-
-@functools.lru_cache(maxsize=1 << 16)
-def _word_id(word: str, vocab_size: int, hash_seed: int) -> int:
-    """Id of one lowercased word. Cached: a corpus repeats its words, and the hash is pure Python."""
-    special = _SPECIAL_IDS.get(word)
-    if special is not None:
-        return special
-    return NUM_RESERVED + _fnv1a_64(word.encode("utf-8"), hash_seed) % (vocab_size - NUM_RESERVED)
-
-
-def tokenize(text: str, vocab_size: int, hash_seed: int = 0) -> TokenSeq:
-    """Map text to token ids: lowercase, whitespace split, seeded FNV-1a hash.
-
-    Ordinary words land in ``[NUM_RESERVED, vocab_size)``; the literal tokens
-    [SEP]/[SYS]/[USR] (case-insensitive) map to their reserved ids. Pure and
-    deterministic for a fixed (text, vocab_size, hash_seed) triple.
-    """
-    if vocab_size < 8:
-        raise ValueError(f"vocab_size must be >= 8, got {vocab_size}")
-    return TokenSeq(ids=tuple([_word_id(word, vocab_size, hash_seed) for word in text.lower().split()]))
+def read_lines(path: str | Path, error: type[ValueError] = CorpusFormatError) -> list[str]:
+    """The lines of a UTF-8 text file, split as text mode splits them; a byte
+    that is not UTF-8 raises ``error`` naming the file and its 1-based line."""
+    raw = Path(path).read_bytes()
+    try:
+        return io.StringIO(raw.decode("utf-8"), newline=None).readlines()
+    except UnicodeDecodeError as exc:
+        lineno = raw[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+        raise error(f"{path}: line {lineno}: invalid UTF-8 byte 0x{raw[exc.start]:02x} ({exc.reason})") from None
 
 
 def passes_length_filter(text: str) -> bool:
@@ -115,22 +76,21 @@ def load_corpus(path: str | Path) -> list[Dialogue]:
     """
     dialogues: list[Dialogue] = []
     seen_ids: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
-            try:
-                dialogue = _parse_dialogue(obj)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorpusFormatError(f"line {lineno}: {exc}") from exc
-            if dialogue.id in seen_ids:
-                raise CorpusFormatError(f"line {lineno}: duplicate dialogue id {dialogue.id!r}")
-            seen_ids.add(dialogue.id)
-            dialogues.append(dialogue)
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
+        try:
+            dialogue = _parse_dialogue(obj)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorpusFormatError(f"line {lineno}: {exc}") from exc
+        if dialogue.id in seen_ids:
+            raise CorpusFormatError(f"line {lineno}: duplicate dialogue id {dialogue.id!r}")
+        seen_ids.add(dialogue.id)
+        dialogues.append(dialogue)
     return dialogues
 
 
@@ -148,18 +108,17 @@ def read_tsv(
     without a word, since such a text has no tokens to embed.
     """
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != num_fields:
-                raise error(f"line {lineno}: expected {num_fields} tab-separated fields, got {len(fields)}")
-            for k, text in enumerate(fields[:text_fields], start=1):
-                if not text.split():
-                    raise error(f"line {lineno}: field {k} has no word")
-            rows.append(fields)
+    for lineno, line in enumerate(read_lines(path, error), start=1):
+        line = line.rstrip("\n")
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != num_fields:
+            raise error(f"line {lineno}: expected {num_fields} tab-separated fields, got {len(fields)}")
+        for k, text in enumerate(fields[:text_fields], start=1):
+            if not text.split():
+                raise error(f"line {lineno}: field {k} has no word")
+        rows.append(fields)
     return rows
 
 
@@ -173,7 +132,9 @@ def _parse_dialogue(obj: object) -> Dialogue:
     if not isinstance(raw_turns, list) or not raw_turns:
         raise ValueError("'turns' must be a non-empty list")
     turns = []
-    for t in raw_turns:
+    for k, t in enumerate(raw_turns, start=1):
+        if not isinstance(t, dict):
+            raise ValueError(f"turn {k} must be a JSON object")
         speaker = Speaker(t["speaker"])
         text = t["text"]
         if not isinstance(text, str):

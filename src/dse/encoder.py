@@ -1,13 +1,17 @@
-"""The trainable encoder: embedding table -> mean pooling -> dropout -> MLP head.
+"""Hashing tokenizer and the trainable encoder: embedding table -> mean pooling -> dropout -> MLP head.
+
+Tokenization lowercases, splits on whitespace runs and hashes each word with
+seeded 64-bit FNV-1a; ids 0-2 are reserved for [SEP], [SYS], [USR]. Texts
+tokenize to one flat layout ``(ids, lengths)``: their ids concatenated in
+text and word order, and one word count per text. The encoder takes that layout.
 
 Training view: pooled token embeddings pass through inverted dropout, a
 tanh hidden layer, a second dropout, and a linear output layer; those
 head outputs feed the contrastive loss. Evaluation view: mean-pooled
 embeddings only, no head and no dropout.
 
-A batch's token sequences are flattened once into (ids, lengths). The
-forward pass records those, the dropout masks and the activations in a
-ForwardTape; ``backward`` replays it to produce parameter gradients that a
+The forward pass records the ids, the dropout masks and the activations in
+a ForwardTape; ``backward`` replays it to produce parameter gradients that a
 finite-difference oracle can check to ~1e-4 relative error. Pooling sums
 each row's embedding rows in token order, as ``E[ids].mean(axis=0)`` does
 (``np.add.reduceat`` would reorder the float32 sums and change checkpoint bytes).
@@ -15,11 +19,21 @@ each row's embedding rows in token order, as ``E[ids].mean(axis=0)`` does
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import TokenSeq, tokenize
+SEP_ID = 0
+SYS_ID = 1
+USR_ID = 2
+NUM_RESERVED = 3
+
+_SPECIAL_IDS = {"[sep]": SEP_ID, "[sys]": SYS_ID, "[usr]": USR_ID}
+
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -34,8 +48,43 @@ class EncoderConfig:
     def __post_init__(self) -> None:
         if min(self.vocab_size, self.embed_dim, self.head_hidden, self.head_out) < 1:
             raise ValueError("all dimensions must be >= 1")
+        if self.vocab_size < 8:
+            raise ValueError(f"vocab_size must be >= 8, got {self.vocab_size}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+
+
+def _fnv1a_64(data: bytes, seed: int) -> int:
+    h = (_FNV_OFFSET ^ (seed & _MASK64)) & _MASK64
+    for byte in data:
+        h ^= byte
+        h = (h * _FNV_PRIME) & _MASK64
+    return h
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _word_id(word: str, vocab_size: int, hash_seed: int) -> int:
+    """Id of one lowercased word. Cached: a corpus repeats its words, and the hash is pure Python."""
+    special = _SPECIAL_IDS.get(word)
+    if special is not None:
+        return special
+    return NUM_RESERVED + _fnv1a_64(word.encode("utf-8"), hash_seed) % (vocab_size - NUM_RESERVED)
+
+
+def tokenize_texts(texts: list[str], cfg: EncoderConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The flat layout of ``texts``. A word hashes into ``[NUM_RESERVED, vocab_size)``
+    unless it is [SEP], [SYS] or [USR] (any case), which take their reserved ids."""
+    words = [text.lower().split() for text in texts]
+    ids = np.array([_word_id(w, cfg.vocab_size, cfg.hash_seed) for ws in words for w in ws], dtype=np.intp)
+    return ids, np.array([len(ws) for ws in words], dtype=np.intp)
+
+
+def take_texts(ids: np.ndarray, lengths: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The flat layout of texts ``rows`` (repeats allowed) of the flat layout ``(ids, lengths)``."""
+    picked = lengths[rows]
+    starts = (np.cumsum(lengths) - lengths)[rows]
+    offsets = np.repeat(starts - (np.cumsum(picked) - picked), picked) + np.arange(picked.sum())
+    return ids[offsets], picked
 
 
 @dataclass
@@ -101,14 +150,10 @@ def init_model(cfg: EncoderConfig, seed: int, dtype=np.float32) -> EncoderModel:
     return EncoderModel(config=cfg, **params)
 
 
-def _flatten(token_seqs: list[TokenSeq]) -> tuple[np.ndarray, np.ndarray]:
-    ids = np.array([tid for seq in token_seqs for tid in seq.ids], dtype=np.intp)
-    lengths = np.array([len(seq.ids) for seq in token_seqs], dtype=np.intp)
-    return ids, lengths
+def forward_eval(model: EncoderModel, ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Evaluation view: row means of E over each row's ids, deterministic, no head.
 
-
-def _pool(model: EncoderModel, ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Row means of E over each row's ids: round k adds every row's k-th token, in token order."""
+    Round k adds every row's k-th token, in token order."""
     if not lengths.all():
         raise ValueError(f"token sequence {int(np.argmin(lengths))} is empty; nothing to pool")
     starts = np.cumsum(lengths) - lengths
@@ -127,14 +172,10 @@ def _head(model: EncoderModel, pooled: np.ndarray, drop1: np.ndarray,
     return hidden, hidden * drop2 @ model.W2 + model.b2
 
 
-def forward_eval(model: EncoderModel, token_seqs: list[TokenSeq]) -> np.ndarray:
-    """Evaluation view: mean-pooled embeddings, deterministic, no head."""
-    return _pool(model, *_flatten(token_seqs))
-
-
 def forward_train(
     model: EncoderModel,
-    token_seqs: list[TokenSeq],
+    ids: np.ndarray,
+    lengths: np.ndarray,
     rng_seed: int | list[int] = 0,
 ) -> tuple[np.ndarray, ForwardTape]:
     """Training view: pooled -> dropout -> tanh layer -> dropout -> linear out.
@@ -145,8 +186,7 @@ def forward_train(
     """
     cfg = model.config
     dtype = model.E.dtype
-    ids, lengths = _flatten(token_seqs)
-    pooled = _pool(model, ids, lengths)
+    pooled = forward_eval(model, ids, lengths)
     n = pooled.shape[0]
 
     p = cfg.dropout_rate
@@ -196,10 +236,6 @@ def backward(model: EncoderModel, tape: ForwardTape, grad_out: np.ndarray) -> Gr
                        W2=dW2.astype(model.W2.dtype), b2=db2.astype(model.b2.dtype))
 
 
-def tokenize_texts(texts: list[str], cfg: EncoderConfig) -> list[TokenSeq]:
-    return [tokenize(t, cfg.vocab_size, cfg.hash_seed) for t in texts]
-
-
 def embed_texts(model: EncoderModel, texts: list[str]) -> np.ndarray:
     """Evaluation-view embeddings for raw texts (tokenize + mean pool)."""
-    return forward_eval(model, tokenize_texts(texts, model.config))
+    return forward_eval(model, *tokenize_texts(texts, model.config))

@@ -36,6 +36,7 @@ from .encoder import (
     forward_train,
     init_model,
     param_shapes,
+    take_texts,
     tokenize_texts,
 )
 from .loss import LossConfig, TrainBatch, batch_loss_and_grad
@@ -190,22 +191,22 @@ def train(
     model = init_model(encoder_cfg, train_cfg.init_seed)
     adam = init_adam_state(model)
     # Consecutive pairs share texts (a response is the next pair's query):
-    # each distinct text is tokenized once.
-    texts = list(dict.fromkeys(t for p in pairs for t in (p.query, p.response)))
-    seqs = dict(zip(texts, tokenize_texts(texts, encoder_cfg)))
-    queries = [seqs[p.query] for p in pairs]
-    responses = [seqs[p.response] for p in pairs]
-    live_rows = np.unique(np.fromiter((tid for seq in seqs.values() for tid in seq.ids), dtype=np.intp))
+    # each distinct text is tokenized once, and each side keeps its texts' rows.
+    row_of = {t: i for i, t in enumerate(dict.fromkeys(t for p in pairs for t in (p.query, p.response)))}
+    ids, lengths = tokenize_texts(list(row_of), encoder_cfg)
+    query_rows = np.array([row_of[p.query] for p in pairs], dtype=np.intp)
+    response_rows = np.array([row_of[p.response] for p in pairs], dtype=np.intp)
+    live_rows = np.unique(ids)
 
     epoch_losses: list[float] = []
     ckpt = Checkpoint(model=model, adam=adam, epoch=0, config_digest=train_cfg.digest())
     for epoch in range(train_cfg.epochs):
         losses = []
         for step, batch_idx in enumerate(make_batches(pairs, train_cfg, epoch)):
-            seq_q = [queries[i] for i in batch_idx]
-            seq_r = [responses[i] for i in batch_idx]
-            emb_q, tape_q = forward_train(model, seq_q, rng_seed=[train_cfg.dropout_seed, epoch, step, 0])
-            emb_r, tape_r = forward_train(model, seq_r, rng_seed=[train_cfg.dropout_seed, epoch, step, 1])
+            emb_q, tape_q = forward_train(model, *take_texts(ids, lengths, query_rows[batch_idx]),
+                                          rng_seed=[train_cfg.dropout_seed, epoch, step, 0])
+            emb_r, tape_r = forward_train(model, *take_texts(ids, lengths, response_rows[batch_idx]),
+                                          rng_seed=[train_cfg.dropout_seed, epoch, step, 1])
             batch = TrainBatch(np.vstack([emb_q, emb_r]))
             loss_value, grads = batch_loss_and_grad(model, batch, loss_cfg, tape_q, tape_r)
             adam_step(model, grads, adam, train_cfg, live_rows)
@@ -258,10 +259,6 @@ def load_checkpoint(path) -> Checkpoint:
     sep = data.find(b"\n\n", len(CHECKPOINT_MAGIC))
     if sep < 0:
         raise CheckpointError("truncated checkpoint: header not terminated")
-    header: dict[str, str] = {}
-    for line in data[len(CHECKPOINT_MAGIC):sep].decode("utf-8").splitlines():
-        key, _, value = line.partition("=")
-        header[key] = value
     body = memoryview(data)[sep + 2:]  # slices of a memoryview copy no bytes
     if len(body) < 8:
         raise CheckpointError("truncated checkpoint: missing footer")
@@ -272,15 +269,17 @@ def load_checkpoint(path) -> Checkpoint:
             f"truncated checkpoint: payload is {len(payload)} bytes, footer says {expected_len}"
         )
 
-    values = {}
-    for key, typ in _HEADER_TYPES.items():
-        if key not in header:
-            raise CheckpointError(f"checkpoint header missing field {key!r}")
-        try:
-            values[key] = parse_value(key, typ, header[key])
-        except ValueError as exc:
-            raise CheckpointError(f"checkpoint header: {exc}") from exc
-    cfg = EncoderConfig(**{f.name: values[f.name] for f in fields(EncoderConfig)})
+    try:  # a header that is not UTF-8 is a ValueError too
+        header: dict[str, str] = {}
+        for line in data[len(CHECKPOINT_MAGIC):sep].decode("utf-8").splitlines():
+            key, _, value = line.partition("=")
+            header[key] = value
+        values = {key: parse_value(key, typ, header[key]) for key, typ in _HEADER_TYPES.items()}
+        cfg = EncoderConfig(**{f.name: values[f.name] for f in fields(EncoderConfig)})
+    except KeyError as exc:
+        raise CheckpointError(f"checkpoint header missing field {exc.args[0]!r}") from None
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint header: {exc}") from exc
 
     offset = 0
     groups: list[dict[str, np.ndarray]] = []

@@ -3,7 +3,8 @@
 Each is the plain form of a computation the library does another way:
 ``cosine_sim`` is one pair at a time, ``ntxent_reference`` is a per-anchor
 loop, ``_negative_mask`` spells out which entries are negatives, and
-``replay_forward`` reruns the train view with a tape's frozen dropout masks.
+``replay_forward`` reruns the train view with a tape's frozen dropout masks,
+and ``flat`` lays out per-text id lists as the encoder takes them.
 None of them runs outside the tests.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from dse.encoder import EncoderModel, ForwardTape, _head, _pool
+from dse.encoder import EncoderModel, ForwardTape, _head, forward_eval
 from dse.loss import EPS_NORM, LossConfig, TrainBatch, _partners
 
 
@@ -57,4 +58,10 @@ def replay_forward(model: EncoderModel, tape: ForwardTape) -> np.ndarray:
 
     Used by the finite-difference oracle: perturbed parameters, same masks.
     """
-    return _head(model, _pool(model, tape.ids, tape.lengths), tape.drop1, tape.drop2)[1]
+    return _head(model, forward_eval(model, tape.ids, tape.lengths), tape.drop1, tape.drop2)[1]
+
+
+def flat(seqs) -> tuple[np.ndarray, np.ndarray]:
+    """The flat (ids, lengths) layout of per-text token id sequences."""
+    ids = np.array([tid for seq in seqs for tid in seq], dtype=np.intp)
+    return ids, np.array([len(seq) for seq in seqs], dtype=np.intp)

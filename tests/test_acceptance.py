@@ -36,7 +36,7 @@ from dse.trainer import (
     train,
 )
 from dse.cli import run_epoch_study
-from oracles import _negative_mask, cosine_sim, ntxent_reference, replay_forward
+from oracles import _negative_mask, cosine_sim, flat, ntxent_reference, replay_forward
 
 
 def report(num: int, name: str, ok: bool) -> None:
@@ -82,14 +82,12 @@ def test_criterion_1_gradient_correctness():
     for inst in range(20):
         model = unit_scale_model(inst, cfg)
         rng = np.random.default_rng(1000 + inst)
-        from dse.corpus import TokenSeq
         seqs = [
-            [TokenSeq(ids=tuple(int(i) for i in rng.integers(3, 50, size=rng.integers(2, 6))))
-             for _ in range(M)]
+            flat([tuple(int(i) for i in rng.integers(3, 50, size=rng.integers(2, 6))) for _ in range(M)])
             for _ in range(2)
         ]
-        out_q, tape_q = forward_train(model, seqs[0], rng_seed=[inst, 0])
-        out_r, tape_r = forward_train(model, seqs[1], rng_seed=[inst, 1])
+        out_q, tape_q = forward_train(model, *seqs[0], rng_seed=[inst, 0])
+        out_r, tape_r = forward_train(model, *seqs[1], rng_seed=[inst, 1])
         batch = TrainBatch(np.vstack([out_q, out_r]))
         alphas = compute_alpha(batch, loss_cfg)
         _, grads = batch_loss_and_grad(model, batch, loss_cfg, tape_q, tape_r)

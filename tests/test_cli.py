@@ -135,6 +135,14 @@ class TestResolvedConfig:
         assert err == f"error: {cf}:3: 'temperature' is not a config key of this command\n"
         assert "Top-1=" not in stdout
 
+    def test_config_file_not_utf8(self, tmp_path, trained, capsys):
+        pairs, ckpt = trained
+        cf = tmp_path / "run.cfg"
+        cf.write_bytes(b"seed=3\n# caf\xe9\n")
+        code, _, err = run(["eval-rank", "--ckpt", str(ckpt), "--data", str(pairs), "--config", str(cf)], capsys)
+        assert code == 1
+        assert err == f"error: {cf}: line 2: invalid UTF-8 byte 0xe9 (invalid continuation byte)\n"
+
     def test_paper_preset_is_the_trainer_preset(self):
         cfg = RunConfig(TrainConfig)
         cfg.apply_preset("paper")
@@ -276,6 +284,25 @@ class TestCommandPlumbing:
         code, stdout, _ = run(["inspect", str(emb)], capsys)
         assert code == 0
         assert "n=2 dim=8" in stdout
+
+    def test_embed_input_not_utf8(self, tmp_path, trained, capsys):
+        _, ckpt = trained
+        texts = tmp_path / "texts.txt"
+        texts.write_bytes(b"hello world\n\nbad \xff byte\n")
+        emb = tmp_path / "emb.txt"
+        code, _, err = run(["embed", "--ckpt", str(ckpt), "--in", str(texts), "--out", str(emb)], capsys)
+        assert code == 1
+        assert err == f"error: {texts}: line 3: invalid UTF-8 byte 0xff (invalid start byte)\n"
+        assert not emb.exists()
+
+    def test_train_rejects_small_vocab_before_training(self, tmp_path, tiny_pairs, capsys):
+        out = tmp_path / "m.ckpt"
+        code, stdout, err = run(["train", "--pairs", str(tiny_pairs), "--out", str(out), "--vocab-size", "5"],
+                                capsys)
+        assert code == 1
+        assert err == "error: vocab_size must be >= 8, got 5\n"
+        assert not any(line.startswith("epoch ") for line in stdout.splitlines())
+        assert not out.exists()
 
     def test_embed_then_inspect_no_text(self, tmp_path, trained, capsys):
         _, ckpt = trained
@@ -502,7 +529,9 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["eval-rank", "--ckpt", str(ckpt), "--data", str(pairs), "--vocab-size", "5"])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --vocab-size 5" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --vocab-size 5" in err
+        assert err.startswith("usage: dse eval-rank ")
 
     def test_readme_commands_parse(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

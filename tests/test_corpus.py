@@ -1,11 +1,13 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dse import corpus
+from dse import corpus, encoder
 from dse.corpus import (
+    SEP_TOKEN,
     CorpusFormatError,
     Dialogue,
     Speaker,
@@ -13,53 +15,63 @@ from dse.corpus import (
     gen_synthetic,
     load_corpus,
     passes_length_filter,
+    read_lines,
     save_corpus,
-    tokenize,
 )
+from dse.encoder import EncoderConfig, tokenize_texts
 
 
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def ids_of(text, vocab_size, hash_seed):
+    """The ids of one text, as a list, under a config with ``vocab_size`` and ``hash_seed``."""
+    ids, lengths = tokenize_texts([text], EncoderConfig(vocab_size=vocab_size, hash_seed=hash_seed))
+    assert lengths.tolist() == [len(ids)]
+    return ids.tolist()
+
+
 class TestTokenize:
     def test_lowercasing(self):
-        assert tokenize("Hi THERE", 100, 0) == tokenize("hi there", 100, 0)
-        assert len(tokenize("Hi THERE", 100, 0).ids) == 2
+        assert ids_of("Hi THERE", 100, 0) == ids_of("hi there", 100, 0)
+        assert len(ids_of("Hi THERE", 100, 0)) == 2
 
     def test_repeated_word_same_id(self):
-        ids = tokenize("a a a", 100, 0).ids
+        ids = ids_of("a a a", 100, 0)
         assert len(set(ids)) == 1 and len(ids) == 3
 
     def test_empty_text(self):
-        seq = tokenize("", 100, 0)
-        assert seq.ids == ()
+        assert ids_of("", 100, 0) == []
 
     def test_reserved_ids_for_special_tokens(self):
-        seq = tokenize("[SEP] [SYS] [USR]", 100, 0)
-        assert seq.ids == (corpus.SEP_ID, corpus.SYS_ID, corpus.USR_ID)
+        ids = ids_of("[SEP] [SYS] [USR]", 100, 0)
+        assert ids == [encoder.SEP_ID, encoder.SYS_ID, encoder.USR_ID] == [0, 1, 2]
+        assert ids_of(SEP_TOKEN, 100, 0) == [encoder.SEP_ID]
 
     def test_ordinary_words_avoid_reserved_ids(self):
         for word in ("hello", "a", "sep", "sys"):
             for seed in range(5):
-                assert tokenize(word, 8, seed).ids[0] >= corpus.NUM_RESERVED
+                assert ids_of(word, 8, seed)[0] >= encoder.NUM_RESERVED
 
     def test_ids_below_vocab(self):
-        seq = tokenize("one two three four five", 8, 3)
-        assert all(i < 8 for i in seq.ids)
+        ids = ids_of("one two three four five", 8, 3)
+        assert all(i < 8 for i in ids)
 
     def test_seed_changes_hashes(self):
-        a = tokenize("hello world", 10000, 0).ids
-        b = tokenize("hello world", 10000, 1).ids
+        a = ids_of("hello world", 10000, 0)
+        b = ids_of("hello world", 10000, 1)
         assert a != b
 
     def test_small_vocab_rejected(self):
-        with pytest.raises(ValueError):
-            tokenize("x", 7, 0)
+        with pytest.raises(ValueError, match="vocab_size must be >= 8, got 7"):
+            EncoderConfig(vocab_size=7)
+        with pytest.raises(ValueError, match="vocab_size must be >= 8, got 3"):
+            EncoderConfig(vocab_size=3)
 
     @given(st.text(), st.integers(0, 2**32))
     def test_pure_function(self, text, seed):
-        assert tokenize(text, 64, seed) == tokenize(text, 64, seed)
+        assert ids_of(text, 64, seed) == ids_of(text, 64, seed)
 
 
 class TestLengthFilter:
@@ -118,6 +130,22 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError, match="line 1"):
             load_corpus(p)
 
+    def test_turn_that_is_not_an_object_names_turn(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        write_lines(p, [json.dumps({"id": "a", "turns": ["hi there you all"]})])
+        with pytest.raises(CorpusFormatError, match="^line 1: turn 1 must be a JSON object$"):
+            load_corpus(p)
+        write_lines(p, [json.dumps({"id": "a", "turns": [{"speaker": "usr", "text": "hi"}, 7]})])
+        with pytest.raises(CorpusFormatError, match="^line 1: turn 2 must be a JSON object$"):
+            load_corpus(p)
+
+    def test_invalid_utf8_names_file_and_line(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        good = json.dumps({"id": "d1", "turns": [{"speaker": "usr", "text": "ok"}]}).encode()
+        p.write_bytes(good + b"\n" + good.replace(b"ok", b"o\xffk") + b"\n")
+        with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(p))}: line 2: invalid UTF-8 byte 0xff"):
+            load_corpus(p)
+
     def test_roundtrip_canonical(self, tmp_path):
         dialogues = gen_synthetic(2, 3, 4, 5, seed=7)
         p1 = tmp_path / "a.jsonl"
@@ -125,6 +153,41 @@ class TestLoadCorpus:
         save_corpus(dialogues, p1)
         save_corpus(load_corpus(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestReadLines:
+    @given(st.lists(st.text(), max_size=8), st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=8, max_size=8))
+    def test_lines_split_as_text_mode(self, tmp_path_factory, parts, breaks):
+        p = tmp_path_factory.mktemp("lines") / "f.txt"
+        p.write_bytes("".join(part + end for part, end in zip(parts, breaks)).encode("utf-8"))
+        with open(p, encoding="utf-8") as fh:
+            assert read_lines(p) == fh.readlines()
+
+    @given(st.lists(st.text(alphabet=st.characters(blacklist_categories=["Cs", "Cc"])), min_size=1, max_size=8),
+           st.lists(st.sampled_from([b"\n", b"\r\n", b"\r"]), min_size=8, max_size=8), st.data())
+    def test_invalid_utf8_names_its_line(self, tmp_path_factory, lines, breaks, data):
+        # The expected line is where text mode puts a NUL written in place of the bad bytes.
+        bad = data.draw(st.integers(0, len(lines) - 1))
+        bad_bytes = data.draw(st.sampled_from([b"\xff", b"\xc3(", b"\xed\xa0\x80", b"\x80"]))
+
+        def write(marker):
+            p = tmp_path_factory.mktemp("lines") / "f.txt"
+            p.write_bytes(b"".join(line.encode() + (marker if k == bad else b"") + end
+                                   for k, (line, end) in enumerate(zip(lines, breaks))))
+            return p
+
+        with open(write(b"\0"), encoding="utf-8") as fh:
+            want = next(k for k, line in enumerate(fh, start=1) if "\0" in line)
+        p = write(bad_bytes)
+        want_message = f"^{re.escape(str(p))}: line {want}: invalid UTF-8 byte 0x{bad_bytes[0]:02x}"
+        with pytest.raises(CorpusFormatError, match=want_message):
+            read_lines(p)
+
+    def test_error_type(self, tmp_path):
+        p = tmp_path / "f.txt"
+        p.write_bytes(b"fine\n\xff\n")
+        with pytest.raises(KeyError, match="line 2"):
+            read_lines(p, KeyError)
 
 
 class TestGenSynthetic:
@@ -157,7 +220,7 @@ class TestGenSynthetic:
             topic = corpus.topic_of_dialogue(d)
             s = ids_by_topic.setdefault(topic, set())
             for t in d.turns:
-                s.update(tokenize(t.text, vocab, 0).ids)
+                s.update(ids_of(t.text, vocab, 0))
         total = sum(len(s) for s in ids_by_topic.values())
         collisions = 0
         topics = sorted(ids_by_topic)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dse.corpus import TokenSeq
 from dse.encoder import (
     EncoderConfig,
     EncoderModel,
@@ -10,9 +10,10 @@ from dse.encoder import (
     forward_eval,
     forward_train,
     init_model,
+    take_texts,
     tokenize_texts,
 )
-from oracles import replay_forward
+from oracles import flat, replay_forward
 
 SMALL = EncoderConfig(vocab_size=50, embed_dim=8, head_hidden=8, head_out=6, dropout_rate=0.1)
 
@@ -32,7 +33,7 @@ def random_model(seed, cfg=SMALL, scale=1.0, dtype=np.float64):
 
 def random_seqs(rng, n, cfg=SMALL, max_len=6):
     return [
-        TokenSeq(ids=tuple(int(i) for i in rng.integers(3, cfg.vocab_size, size=rng.integers(1, max_len))))
+        tuple(int(i) for i in rng.integers(3, cfg.vocab_size, size=rng.integers(1, max_len)))
         for _ in range(n)
     ]
 
@@ -63,53 +64,53 @@ class TestInit:
 class TestForward:
     def test_single_token_eval_is_embedding_row(self):
         m = init_model(SMALL, seed=1)
-        out = forward_eval(m, [TokenSeq(ids=(7,))])
+        out = forward_eval(m, *flat([(7,)]))
         assert np.allclose(out[0], m.E[7])
 
     def test_mean_pool_duplication_invariant(self):
         m = init_model(SMALL, seed=1)
-        a = forward_eval(m, [TokenSeq(ids=(3, 9, 14))])
-        b = forward_eval(m, [TokenSeq(ids=(3, 3, 9, 9, 14, 14))])
+        a = forward_eval(m, *flat([(3, 9, 14)]))
+        b = forward_eval(m, *flat([(3, 3, 9, 9, 14, 14)]))
         assert np.allclose(a, b)
 
     def test_eval_deterministic(self):
         m = init_model(SMALL, seed=1)
         seqs = random_seqs(np.random.default_rng(0), 5)
-        assert np.array_equal(forward_eval(m, seqs), forward_eval(m, seqs))
+        assert np.array_equal(forward_eval(m, *flat(seqs)), forward_eval(m, *flat(seqs)))
 
     def test_zero_dropout_matches_deterministic(self):
         # dropout 0 gives all-ones masks and output that does not depend on the seed
         cfg = EncoderConfig(vocab_size=50, embed_dim=8, head_hidden=8, head_out=6, dropout_rate=0.0)
         m = init_model(cfg, seed=1)
         seqs = random_seqs(np.random.default_rng(0), 4, cfg)
-        a, tape = forward_train(m, seqs, rng_seed=5)
-        b, _ = forward_train(m, seqs, rng_seed=6)
+        a, tape = forward_train(m, *flat(seqs), rng_seed=5)
+        b, _ = forward_train(m, *flat(seqs), rng_seed=6)
         assert np.all(tape.drop1 == 1) and np.all(tape.drop2 == 1)
         assert np.array_equal(a, b)
 
     def test_self_pair_masks_differ(self):
         m = init_model(SMALL, seed=1)
-        seqs = [TokenSeq(ids=(4, 8, 12))]
-        out1, tape1 = forward_train(m, seqs, rng_seed=10)
-        out2, tape2 = forward_train(m, seqs, rng_seed=11)
+        seqs = [(4, 8, 12)]
+        out1, tape1 = forward_train(m, *flat(seqs), rng_seed=10)
+        out2, tape2 = forward_train(m, *flat(seqs), rng_seed=11)
         assert not np.array_equal(tape1.drop1, tape2.drop1) or not np.array_equal(tape1.drop2, tape2.drop2)
         assert not np.array_equal(out1, out2)
 
     def test_empty_seq_rejected(self):
         m = init_model(SMALL, seed=1)
         with pytest.raises(ValueError):
-            forward_eval(m, [TokenSeq(ids=())])
+            forward_eval(m, *flat([()]))
 
     def test_inverted_dropout_expectation(self):
         # averaging stochastic pooled outputs over many masks approaches the
         # deterministic output within 3 standard errors per coordinate
         m = random_model(2)
-        seqs = [TokenSeq(ids=(5, 9))]
-        det_pooled = forward_eval(m, seqs)[0]
+        ids, lengths = flat([(5, 9)])
+        det_pooled = forward_eval(m, ids, lengths)[0]
         n = 10000
         samples = np.empty((n, SMALL.embed_dim))
         for s in range(n):
-            _, tape = forward_train(m, seqs, rng_seed=s)
+            _, tape = forward_train(m, ids, lengths, rng_seed=s)
             samples[s] = (tape.pooled * tape.drop1)[0]
         mean = samples.mean(axis=0)
         se = samples.std(axis=0, ddof=1) / np.sqrt(n)
@@ -123,16 +124,15 @@ class TestForward:
         m.E *= np.random.default_rng(5).lognormal(sigma=3.0, size=m.E.shape).astype(dtype)
         rng = np.random.default_rng(6)
         lengths = rng.permutation(np.repeat(np.arange(1, 41), 3))
-        seqs = [TokenSeq(ids=tuple(int(i) for i in rng.integers(0, 300, size=n)))
-                for n in lengths]
-        want = np.stack([m.E[list(s.ids)].mean(axis=0) for s in seqs])
-        got = forward_eval(m, seqs)
+        seqs = [tuple(int(i) for i in rng.integers(0, 300, size=n)) for n in lengths]
+        want = np.stack([m.E[list(s)].mean(axis=0) for s in seqs])
+        got = forward_eval(m, *flat(seqs))
         assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
     def test_replay_reproduces_forward(self):
         m = random_model(3)
         seqs = random_seqs(np.random.default_rng(1), 4)
-        out, tape = forward_train(m, seqs, rng_seed=9)
+        out, tape = forward_train(m, *flat(seqs), rng_seed=9)
         assert np.array_equal(replay_forward(m, tape), out)
 
 
@@ -140,15 +140,15 @@ class TestBackward:
     def test_zero_upstream_zero_grads(self):
         m = random_model(0)
         seqs = random_seqs(np.random.default_rng(2), 3)
-        _, tape = forward_train(m, seqs, rng_seed=1)
+        _, tape = forward_train(m, *flat(seqs), rng_seed=1)
         grads = backward(m, tape, np.zeros((3, SMALL.head_out)))
         for _, g in grads.items():
             assert not g.any()
 
     def test_unused_vocab_rows_zero(self):
         m = random_model(0)
-        seqs = [TokenSeq(ids=(4, 7))]
-        _, tape = forward_train(m, seqs, rng_seed=1)
+        seqs = [(4, 7)]
+        _, tape = forward_train(m, *flat(seqs), rng_seed=1)
         grads = backward(m, tape, np.ones((1, SMALL.head_out)))
         used = {4, 7}
         for row in range(SMALL.vocab_size):
@@ -161,22 +161,22 @@ class TestBackward:
         m = random_model(7, cfg, dtype=dtype)
         rng = np.random.default_rng(8)
         seqs = random_seqs(rng, 64, cfg, max_len=41)
-        out, tape = forward_train(m, seqs, rng_seed=2)
+        out, tape = forward_train(m, *flat(seqs), rng_seed=2)
         grad_out = rng.normal(size=out.shape).astype(dtype)
         grads = backward(m, tape, grad_out)
         dpre1 = (grad_out @ m.W2.T) * tape.drop2 * (1.0 - tape.hidden**2)
         dpooled = (dpre1 @ m.W1.T) * tape.drop1
         want = np.zeros_like(m.E)
         for i, seq in enumerate(seqs):
-            contrib = dpooled[i] / len(seq.ids)
-            for tid in seq.ids:
+            contrib = dpooled[i] / len(seq)
+            for tid in seq:
                 want[tid] += contrib
         assert grads.E.dtype == dtype and grads.E.tobytes() == want.tobytes()
 
     def test_shape_mismatch(self):
         m = random_model(0)
         seqs = random_seqs(np.random.default_rng(2), 3)
-        _, tape = forward_train(m, seqs, rng_seed=1)
+        _, tape = forward_train(m, *flat(seqs), rng_seed=1)
         with pytest.raises(ValueError):
             backward(m, tape, np.zeros((2, SMALL.head_out)))
 
@@ -186,7 +186,7 @@ class TestBackward:
         m = random_model(seed)
         rng = np.random.default_rng(100 + seed)
         seqs = random_seqs(rng, 3)
-        out, tape = forward_train(m, seqs, rng_seed=seed)
+        out, tape = forward_train(m, *flat(seqs), rng_seed=seed)
         proj = rng.normal(size=out.shape)
 
         def f():
@@ -218,5 +218,21 @@ class TestEmbedTexts:
         assert np.array_equal(out[0], out[1])
 
     def test_tokenize_texts_uses_config(self):
-        seqs = tokenize_texts(["a b c"], SMALL)
-        assert len(seqs) == 1 and len(seqs[0].ids) == 3
+        ids, lengths = tokenize_texts(["a b c"], SMALL)
+        assert lengths.tolist() == [3] and len(ids) == 3 and ids.max() < SMALL.vocab_size
+
+
+class TestFlatLayout:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text(), max_size=12), st.integers(0, 2**64 - 1), st.data())
+    def test_lengths_concatenation_and_row_gather(self, texts, seed, data):
+        cfg = EncoderConfig(vocab_size=64, hash_seed=seed)
+        ids, lengths = tokenize_texts(texts, cfg)
+        assert ids.dtype == lengths.dtype == np.intp
+        assert lengths.tolist() == [len(text.lower().split()) for text in texts]
+        alone = [tokenize_texts([text], cfg) for text in texts]
+        assert ids.tolist() == [tid for one, _ in alone for tid in one.tolist()]
+        rows = data.draw(st.lists(st.integers(0, len(texts) - 1), max_size=20) if texts else st.just([]))
+        got_ids, got_lengths = take_texts(ids, lengths, np.array(rows, dtype=np.intp))
+        want_ids, want_lengths = tokenize_texts([texts[r] for r in rows], cfg)
+        assert got_ids.tolist() == want_ids.tolist() and got_lengths.tolist() == want_lengths.tolist()

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -559,3 +560,15 @@ class TestLoaders:
             p.write_text("# comment\n\n" + row + "\n")
             with pytest.raises(ValueError, match="line 3: field"):
                 loader(p)
+
+    @pytest.mark.parametrize("loader", [ev.load_labeled_tsv, ev.load_multilabel_tsv, ev.load_nli_tsv])
+    def test_invalid_utf8_names_file_and_line(self, tmp_path, loader):
+        row, bad = {
+            ev.load_labeled_tsv: (b"caf\xe9\tgreet", "0xe9"),
+            ev.load_multilabel_tsv: (b"a\tx,\xffy", "0xff"),
+            ev.load_nli_tsv: (b"a\te\t\xc3", "0xc3"),
+        }[loader]
+        p = tmp_path / "d.tsv"
+        p.write_bytes(b"# comment\n\n" + row + b"\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: line 3: invalid UTF-8 byte {bad}"):
+            loader(p)

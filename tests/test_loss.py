@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dse.corpus import TokenSeq
 from dse.encoder import EncoderConfig, backward, forward_train, init_model
 from dse.loss import (
     LossConfig,
@@ -18,7 +17,7 @@ from dse.loss import (
     _add_transpose,
     _partners,
 )
-from oracles import _negative_mask, cosine_sim, ntxent_reference
+from oracles import _negative_mask, cosine_sim, flat, ntxent_reference
 
 
 def scalar_oracle(rows, tau, hard_negatives=True):
@@ -327,10 +326,8 @@ class TestBatchLoss:
     def test_combined_embedding_grad_is_dense_sum_byte_for_byte(self):
         model = init_model(EncoderConfig(vocab_size=40, embed_dim=8, head_hidden=8, head_out=6), seed=3)
         # Rows 3-5 only in queries, 20-22 only in responses, 9 and 10 in both.
-        seqs_q = [TokenSeq(ids=(3, 9, 4)), TokenSeq(ids=(5, 10)), TokenSeq(ids=(9,))]
-        seqs_r = [TokenSeq(ids=(20, 10)), TokenSeq(ids=(21, 9, 22)), TokenSeq(ids=(10, 10))]
-        out_q, tape_q = forward_train(model, seqs_q, rng_seed=0)
-        out_r, tape_r = forward_train(model, seqs_r, rng_seed=1)
+        out_q, tape_q = forward_train(model, *flat([(3, 9, 4), (5, 10), (9,)]), rng_seed=0)
+        out_r, tape_r = forward_train(model, *flat([(20, 10), (21, 9, 22), (10, 10)]), rng_seed=1)
         batch = TrainBatch(np.vstack([out_q, out_r]))
         _, grads = batch_loss_and_grad(model, batch, LossConfig(), tape_q, tape_r)
         _, grad_emb = batch_loss(batch, LossConfig(), with_grad=True)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -260,6 +262,12 @@ class TestPairFile:
         p = tmp_path / "pairs.tsv"
         p.write_text("# header\na b\tc d\n" + row + "\n")
         with pytest.raises(PairFileError, match="line 3"):
+            load_pair_file(p)
+
+    def test_invalid_utf8_names_file_and_line(self, tmp_path):
+        p = tmp_path / "pairs.tsv"
+        p.write_bytes(b"a b\tc d\r\nhello there\tgeneral k\xffnobi\n")
+        with pytest.raises(PairFileError, match=f"^{re.escape(str(p))}: line 2: invalid UTF-8 byte 0xff"):
             load_pair_file(p)
 
     def test_save_load(self, tmp_path):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dse import trainer
-from dse.corpus import gen_synthetic, tokenize
-from dse.encoder import EncoderConfig, init_model, param_shapes
+from dse.corpus import gen_synthetic
+from dse.encoder import EncoderConfig, init_model, param_shapes, tokenize_texts
 from dse.encoder import GradientSet
 from dse.loss import LossConfig
 from dse.pairs import TrainPair, build_pairs
@@ -204,14 +204,14 @@ class TestTrain:
         pairs = make_pairs(12)
         cfg = TrainConfig(batch_size=4, epochs=2)
         ckpt = train(pairs, ENC, LossConfig(), cfg).checkpoint
-        used = {tid for p in pairs for text in (p.query, p.response)
-                for tid in tokenize(text, ENC.vocab_size, ENC.hash_seed).ids}
+        used = set(tokenize_texts([text for p in pairs for text in (p.query, p.response)], ENC)[0].tolist())
         dead = sorted(set(range(ENC.vocab_size)) - used)
         init = init_model(ENC, cfg.init_seed)
         zeros = bytes(ckpt.adam.m["E"][dead].nbytes)
         assert ckpt.model.E[dead].tobytes() == init.E[dead].tobytes()
         assert ckpt.adam.m["E"][dead].tobytes() == zeros and ckpt.adam.v["E"][dead].tobytes() == zeros
         assert not np.array_equal(ckpt.model.E[sorted(used)], init.E[sorted(used)])
+        assert ckpt.adam.v["E"][sorted(used)].any(axis=1).all()  # every row a text hashes to was updated
 
     def test_hooks_fire_per_epoch(self):
         pairs = make_pairs(8)
@@ -324,6 +324,20 @@ class TestCheckpointIO:
             key + b"x1" if line.startswith(key) else line for line in header.split(b"\n"))
         p = self.rewrite_header(tmp_path, garble)
         with pytest.raises(CheckpointError, match=f"'{field}'"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("field, value", [("vocab_size", b"5"), ("dropout_rate", b"1.5")])
+    def test_invalid_header_config_named(self, tmp_path, field, value):
+        key = field.encode() + b"="
+        edit = lambda header: b"\n".join(
+            key + value if line.startswith(key) else line for line in header.split(b"\n"))
+        p = self.rewrite_header(tmp_path, edit)
+        with pytest.raises(CheckpointError, match=f"^checkpoint header: {field} must be"):
+            load_checkpoint(p)
+
+    def test_header_not_utf8(self, tmp_path):
+        p = self.rewrite_header(tmp_path, lambda header: header.replace(b"config_digest=", b"config_digest=\xff"))
+        with pytest.raises(CheckpointError, match="header"):
             load_checkpoint(p)
 
     @pytest.mark.parametrize("group, name", [(0, "E"), (1, "b2"), (2, "W1")])
