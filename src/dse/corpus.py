@@ -71,8 +71,8 @@ def passes_length_filter(text: str) -> bool:
 def load_corpus(path: str | Path) -> list[Dialogue]:
     """Read a JSONL corpus file; one Dialogue per non-blank line.
 
-    Raises CorpusFormatError naming the 1-based line number for malformed
-    lines, empty turn texts, and duplicate dialogue ids.
+    Raises CorpusFormatError naming the file and the 1-based line number for
+    malformed lines, empty turn texts, and duplicate dialogue ids.
     """
     dialogues: list[Dialogue] = []
     seen_ids: set[str] = set()
@@ -82,13 +82,13 @@ def load_corpus(path: str | Path) -> list[Dialogue]:
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
+            raise CorpusFormatError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
         try:
             dialogue = _parse_dialogue(obj)
         except (KeyError, TypeError, ValueError) as exc:
-            raise CorpusFormatError(f"line {lineno}: {exc}") from exc
+            raise CorpusFormatError(f"{path}: line {lineno}: {exc}") from exc
         if dialogue.id in seen_ids:
-            raise CorpusFormatError(f"line {lineno}: duplicate dialogue id {dialogue.id!r}")
+            raise CorpusFormatError(f"{path}: line {lineno}: duplicate dialogue id {dialogue.id!r}")
         seen_ids.add(dialogue.id)
         dialogues.append(dialogue)
     return dialogues
@@ -103,7 +103,7 @@ def read_tsv(
     """The fields of each data line of a TAB-separated file.
 
     Blank lines and lines starting with '#' are skipped. A line with any
-    other field count raises ``error`` naming its line number, and so does
+    other field count raises ``error`` naming the file and line, and so does
     a line whose first ``text_fields`` fields (default: all) include one
     without a word, since such a text has no tokens to embed.
     """
@@ -114,10 +114,10 @@ def read_tsv(
             continue
         fields = line.split("\t")
         if len(fields) != num_fields:
-            raise error(f"line {lineno}: expected {num_fields} tab-separated fields, got {len(fields)}")
+            raise error(f"{path}: line {lineno}: expected {num_fields} tab-separated fields, got {len(fields)}")
         for k, text in enumerate(fields[:text_fields], start=1):
             if not text.split():
-                raise error(f"line {lineno}: field {k} has no word")
+                raise error(f"{path}: line {lineno}: field {k} has no word")
         rows.append(fields)
     return rows
 

@@ -25,15 +25,16 @@ softmax-style expressions run in 64-bit with max-subtraction, over whole
 n x n arrays in place.
 
 Because alpha sits in the exponent, almost every term of the log-sum-exp is
-exactly 0: at the paper preset one negative per anchor takes a logit near
-(2M-2)/tau, and after the row max is subtracted nearly all other logits lie
-far below -745.13, under which exp rounds to +0.0. libm reaches that +0.0
-through its slow underflow path, so ``batch_loss`` masks the logits below
-``_EXP_ZERO_BELOW``, writes +0.0 there and takes exp of the rest only. The
-gradient needs the symmetric sum w + w^T of the per-anchor coefficients;
-it is added in place, one pair of ``_TILE`` x ``_TILE`` tiles at a time, so
-no strided read crosses the whole array. Each entry is still the one float
-add x + y == y + x, so both shortcuts leave every byte as it was.
+exactly 0, and libm reaches that +0.0 through its slow underflow path, so
+``batch_loss`` writes +0.0 at the logits below ``_EXP_ZERO_BELOW`` and takes
+exp of the rest only. The sum w + w^T of the per-anchor gradient
+coefficients is added in place in ``_TILE`` x ``_TILE`` tile pairs, so no
+strided read crosses the whole array, and the logits overwrite the similarity
+array, so no third n x n array is made. These keep every byte. Two kernels round differently from the textbook form, a declared
+change of bytes, for speed: ``sim_matrix`` multiplies by a copy of U^T, which
+numpy sends to gemm, not to the slower syrk; and with G = (w + w^T) U the
+gradient is each G_a's part orthogonal to u_a, over ||e_a||, which saves the
+B * s and row-sum passes over the n x n array.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def sim_matrix(embeddings: np.ndarray) -> np.ndarray:
     X = embeddings.astype(np.float64)
     norms = np.maximum(np.linalg.norm(X, axis=1, keepdims=True), EPS_NORM)
     U = X / norms
-    S = U @ U.T
+    S = U @ U.T.copy()  # gemm: numpy sends U @ U.T to syrk, which is slower
     return np.clip(S, -1.0, 1.0, out=S)
 
 
@@ -168,12 +169,12 @@ def batch_loss(
     if alphas is None:
         alphas = compute_alpha(batch, cfg)
 
-    # Row a of w holds anchor a's logits: alpha * s / tau at the negatives,
-    # s / tau at the positive and -inf at a itself. The log-sum-exp then
-    # overwrites it with exp(logit - row max); the mask must be ``w < limit``,
+    # Row a of w (the sims array) holds anchor a's logits: alpha * s / tau at
+    # the negatives, s / tau at the positive and -inf at a itself. The log-sum-exp
+    # then overwrites it with exp(logit - row max); the mask must be ``w < limit``,
     # so that a NaN is still sent through exp and makes the loss non-finite.
     z_pos = sims[rows, partners] / tau
-    w = alphas * sims
+    w = np.multiply(alphas, sims, out=sims)
     w /= tau
     w[rows, partners] = z_pos
     w[rows, rows] = -np.inf
@@ -198,14 +199,12 @@ def batch_loss(
     w /= n * tau
     del alphas  # frees a computed weight array: each n x n array is 32 MiB at batch 1024
     # Chain through cosine: with unit rows u_a, s_ab = u_a . u_b and
-    # d s_ab / d e_a = (u_b - s_ab u_a) / ||e_a||.
+    # d s_ab / d e_a = (u_b - s_ab u_a) / ||e_a||: G_a's part orthogonal to u_a.
     X = batch.embeddings.astype(np.float64)
     norms = np.maximum(np.linalg.norm(X, axis=1, keepdims=True), EPS_NORM)
     U = X / norms
-    B = _add_transpose(w)
-    BU = B @ U
-    B *= sims
-    grad = (BU - B.sum(axis=1, keepdims=True) * U) / norms
+    G = _add_transpose(w) @ U
+    grad = (G - np.vecdot(U, G)[:, None] * U) / norms
     return loss, grad
 
 

@@ -223,7 +223,7 @@ class TestCommandPlumbing:
         code, _, err = run(["train", "--pairs", str(pairs), "--out", str(tmp_path / "m.ckpt")]
                            + SMALL_FLAGS, capsys)
         assert code == 1
-        assert err.startswith("error: line 2:")
+        assert err == f"error: {pairs}: line 2: field 1 has no word\n"
 
     def test_floating_point_error_exits_cleanly(self, tmp_path, capsys, monkeypatch):
         def diverge(*args, **kwargs):
@@ -294,6 +294,14 @@ class TestCommandPlumbing:
         assert code == 1
         assert err == f"error: {texts}: line 3: invalid UTF-8 byte 0xff (invalid start byte)\n"
         assert not emb.exists()
+
+    def test_inspect_input_not_utf8(self, tmp_path, capsys):
+        emb = tmp_path / "emb.txt"
+        emb.write_bytes(b"1 2\n0.5 0.\xff\n")
+        code, stdout, err = run(["inspect", str(emb)], capsys)
+        assert code == 1
+        assert err == f"error: {emb}: line 2: invalid UTF-8 byte 0xff (invalid start byte)\n"
+        assert stdout == ""
 
     def test_train_rejects_small_vocab_before_training(self, tmp_path, tiny_pairs, capsys):
         out = tmp_path / "m.ckpt"
@@ -384,7 +392,7 @@ class TestEvalCommands:
             fh.write("\treserve it\tcancel now\n")
         code, _, err = run(["eval-nli", "--ckpt", str(ckpt), "--data", str(data)], capsys)
         assert code == 1
-        assert err.startswith("error: line 2:")
+        assert err == f"error: {data}: line 2: field 1 has no word\n"
 
     def test_eval_actions(self, tmp_path, trained, capsys):
         _, ckpt = trained
@@ -402,6 +410,18 @@ class TestEvalCommands:
                                "--train-data", str(train_data), "--data", str(test_data)], capsys)
         assert code == 1
         assert stderr == "error: train and test label sets differ\n"
+
+    def test_eval_actions_format_error_names_the_data_file(self, tmp_path, trained, capsys):
+        _, ckpt = trained
+        train_data = tmp_path / "acts_train.tsv"
+        train_data.write_text("book a table now\tbook\ncancel it all please\tcancel\n")
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("please book something nice\tbook\n\tbook\n")
+        code, stdout, err = run(["eval-actions", "--ckpt", str(ckpt),
+                                 "--train-data", str(train_data), "--data", str(bad)], capsys)
+        assert code == 1
+        assert err == f"error: {bad}: line 2: field 1 has no word\n"
+        assert "Micro-F1=" not in stdout
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--probe-epochs", "-5", "epochs must be >= 0"),

@@ -133,10 +133,10 @@ class TestLoadCorpus:
     def test_turn_that_is_not_an_object_names_turn(self, tmp_path):
         p = tmp_path / "c.jsonl"
         write_lines(p, [json.dumps({"id": "a", "turns": ["hi there you all"]})])
-        with pytest.raises(CorpusFormatError, match="^line 1: turn 1 must be a JSON object$"):
+        with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(p))}: line 1: turn 1 must be a JSON object$"):
             load_corpus(p)
         write_lines(p, [json.dumps({"id": "a", "turns": [{"speaker": "usr", "text": "hi"}, 7]})])
-        with pytest.raises(CorpusFormatError, match="^line 1: turn 2 must be a JSON object$"):
+        with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(p))}: line 1: turn 2 must be a JSON object$"):
             load_corpus(p)
 
     def test_invalid_utf8_names_file_and_line(self, tmp_path):

@@ -522,6 +522,13 @@ class TestReportsAndEmbeddingIO:
         with pytest.raises(ev.EmbeddingFileError):
             ev.load_embeddings(p)
 
+    def test_embedding_invalid_utf8_names_file_and_line(self, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_bytes(b"1 2\n0.5 0.\xff\n")
+        with pytest.raises(ev.EmbeddingFileError,
+                           match=f"^{re.escape(str(p))}: line 2: invalid UTF-8 byte 0xff \\(invalid start byte\\)$"):
+            ev.load_embeddings(p)
+
 
 class TestLoaders:
     def test_labeled_tsv(self, tmp_path):

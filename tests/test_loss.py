@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dse.encoder import EncoderConfig, backward, forward_train, init_model
 from dse.loss import (
@@ -56,7 +57,7 @@ def reference_sim_matrix(embeddings):
     X = embeddings.astype(np.float64)
     norms = np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
     U = X / norms
-    return np.clip(U @ U.T, -1.0, 1.0)
+    return np.clip(U @ U.T.copy(), -1.0, 1.0)
 
 
 def reference_alpha(embeddings, cfg):
@@ -101,8 +102,8 @@ def reference_loss_and_grad(embeddings, cfg, alphas=None):
     X = embeddings.astype(np.float64)
     norms = np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
     U = X / norms
-    B = w + w.T
-    grad = (B @ U - (B * sims).sum(axis=1, keepdims=True) * U) / norms
+    G = (w + w.T) @ U
+    grad = (G - np.vecdot(U, G)[:, None] * U) / norms
     return loss, grad
 
 
@@ -336,9 +337,52 @@ class TestBatchLoss:
         assert grads.E.tobytes() == want.tobytes()
 
 
+@st.composite
+def scaled_batches(draw):
+    """A float64 batch of even n in [4, 64] and dim in [2, 16] whose rows have
+    norms spread over 1e-3..1e3, plus one row index and a rescaling factor."""
+    n = 2 * draw(st.integers(2, 32))
+    dim = draw(st.integers(2, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(n, 1))
+    return rows, draw(st.integers(0, n - 1)), 10.0 ** draw(st.floats(-3.0, 3.0))
+
+
+class TestGradientGeometry:
+    """The loss depends on each row only through its direction, so each
+    gradient row lies in the row's tangent plane and scales as 1/||e_a||."""
+
+    TOL = 1e-9  # float64 rounding, relative; the largest seen is near 1e-11
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(scaled_batches(), st.booleans())
+    def test_gradient_rows_are_orthogonal_to_their_rows(self, case, hard):
+        rows, _, _ = case
+        _, grad = batch_loss(TrainBatch(rows), LossConfig(hard_negatives=hard), with_grad=True)
+        bound = self.TOL * np.linalg.norm(grad, axis=1) * np.linalg.norm(rows, axis=1)
+        assert np.all(np.abs(np.vecdot(grad, rows)) <= bound)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(scaled_batches(), st.booleans())
+    def test_rescaling_a_row_divides_its_gradient(self, case, hard):
+        rows, k, factor = case
+        cfg = LossConfig(hard_negatives=hard)
+        loss, grad = batch_loss(TrainBatch(rows), cfg, with_grad=True)
+        scaled = rows.copy()
+        scaled[k] *= factor
+        got_loss, got_grad = batch_loss(TrainBatch(scaled), cfg, with_grad=True)
+        assert got_loss == pytest.approx(loss, rel=self.TOL)
+        got_grad[k] *= factor
+        # Errors are measured against the direction gradient ||g_b|| ||e_b||, which is scale-free.
+        norms = np.linalg.norm(rows, axis=1)
+        scale = (np.linalg.norm(grad, axis=1) * norms).max()
+        assert np.all(np.linalg.norm(got_grad - grad, axis=1) * norms <= self.TOL * scale)
+
+
 class TestAgainstReference:
-    """``batch_loss`` skips the exps that underflow and adds w.T in place; the
-    loss and gradient must stay byte-equal to the whole-array reference."""
+    """``batch_loss`` builds the logits in the sims array, skips the exps that
+    underflow and adds w.T in place; the loss and gradient must stay byte-equal
+    to the whole-array reference, and frozen ``alphas`` must stay as given."""
 
     @staticmethod
     def assert_equal_to_reference(embeddings, cfg, alphas=None):
@@ -419,7 +463,7 @@ class TestLossKernels:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * n * n * 8 + 12 * 2**20
+        assert peak <= 2 * n * n * 8 + 12 * 2**20
 
 
 class TestNtxentReference:
