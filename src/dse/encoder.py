@@ -101,18 +101,6 @@ class EncoderModel:
 
 
 @dataclass
-class GradientSet:
-    E: np.ndarray
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
-    b2: np.ndarray
-
-    def items(self) -> list[tuple[str, np.ndarray]]:
-        return [("E", self.E), ("W1", self.W1), ("b1", self.b1), ("W2", self.W2), ("b2", self.b2)]
-
-
-@dataclass
 class ForwardTape:
     """Intermediate state of one TRAIN-view forward pass."""
 
@@ -204,11 +192,13 @@ def forward_train(
     return out, tape
 
 
-def backward(model: EncoderModel, tape: ForwardTape, grad_out: np.ndarray) -> GradientSet:
-    """Exact gradients of all parameters given dL/d(head output).
+def backward(model: EncoderModel, tape: ForwardTape, grad_out: np.ndarray) -> EncoderModel:
+    """Exact gradients of all parameters given dL/d(head output), as an
+    ``EncoderModel`` whose parameter fields hold the gradients.
 
     Chains through the recorded dropout masks, the tanh layer, mean pooling,
-    and the embedding lookup; untouched vocab rows get exactly zero.
+    and the embedding lookup. ``E``'s gradient is dense; vocab rows that no
+    token of the tape hits get exactly +0.0.
     """
     n = len(tape.lengths)
     if grad_out.shape != (n, model.config.head_out):
@@ -232,8 +222,9 @@ def backward(model: EncoderModel, tape: ForwardTape, grad_out: np.ndarray) -> Gr
     share = dpooled / tape.lengths[:, None].astype(dpooled.dtype)
     np.add.at(dE, tape.ids, np.repeat(share, tape.lengths, axis=0))
 
-    return GradientSet(E=dE, W1=dW1.astype(model.W1.dtype), b1=db1.astype(model.b1.dtype),
-                       W2=dW2.astype(model.W2.dtype), b2=db2.astype(model.b2.dtype))
+    return EncoderModel(config=model.config, E=dE,
+                        W1=dW1.astype(model.W1.dtype), b1=db1.astype(model.b1.dtype),
+                        W2=dW2.astype(model.W2.dtype), b2=db2.astype(model.b2.dtype))
 
 
 def embed_texts(model: EncoderModel, texts: list[str]) -> np.ndarray:

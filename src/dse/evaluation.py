@@ -379,19 +379,19 @@ def load_embeddings(path: str | Path) -> np.ndarray:
     lines = read_lines(path, EmbeddingFileError)
     header = lines[0].split() if lines else []
     if len(header) != 2 or not all(x.isdecimal() for x in header):
-        raise EmbeddingFileError(f"line 1: expected '<n> <dim>', got {' '.join(header)!r}")
+        raise EmbeddingFileError(f"{path}: line 1: expected '<n> <dim>', got {' '.join(header)!r}")
     n, dim = (int(x) for x in header)
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         values = line.split()
         if len(values) != dim:
-            raise EmbeddingFileError(f"line {lineno}: expected {dim} values, got {len(values)}")
+            raise EmbeddingFileError(f"{path}: line {lineno}: expected {dim} values, got {len(values)}")
         try:
             rows.append([float(v) for v in values])
         except ValueError as exc:
-            raise EmbeddingFileError(f"line {lineno}: {exc}") from None
+            raise EmbeddingFileError(f"{path}: line {lineno}: {exc}") from None
     if len(rows) != n:
-        raise EmbeddingFileError(f"header says {n} rows, file has {len(rows)}")
+        raise EmbeddingFileError(f"{path}: header says {n} rows, file has {len(rows)}")
     return np.array(rows, dtype=np.float64).reshape(n, dim)
 
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import EncoderModel, ForwardTape, GradientSet, backward
+from .encoder import EncoderModel, ForwardTape, backward
 
 # Floor on a vector norm before dividing by it.
 EPS_NORM = 1e-12
@@ -212,28 +212,12 @@ def batch_loss_and_grad(
     model: EncoderModel,
     batch: TrainBatch,
     cfg: LossConfig,
-    tape_q: ForwardTape,
-    tape_r: ForwardTape,
-) -> tuple[float, GradientSet]:
+    tape: ForwardTape,
+) -> tuple[float, EncoderModel]:
     """Batch loss plus exact parameter gradients via the encoder's backward pass.
 
-    Rows 0..M-1 of the batch must come from tape_q's forward, rows M..2M-1
-    from tape_r's.
+    Row i of the batch must be row i of ``tape``'s forward pass. The gradients
+    come back as an ``EncoderModel`` whose parameter fields hold them.
     """
-    M = batch.M
     loss, grad_emb = batch_loss(batch, cfg, with_grad=True)
-    dtype = model.E.dtype
-    g_q = backward(model, tape_q, grad_emb[:M].astype(dtype))
-    g_r = backward(model, tape_r, grad_emb[M:].astype(dtype))
-    # Off tape_r's rows g_r.E is +0.0, and g_q.E holds no -0.0 (np.add.at onto
-    # +0.0 cannot make one), so the dense sum would leave those rows' bits as they are.
-    rows = np.unique(tape_r.ids)
-    g_q.E[rows] += g_r.E[rows]
-    combined = GradientSet(
-        E=g_q.E,
-        W1=g_q.W1 + g_r.W1,
-        b1=g_q.b1 + g_r.b1,
-        W2=g_q.W2 + g_r.W2,
-        b2=g_q.b2 + g_r.b2,
-    )
-    return loss, combined
+    return loss, backward(model, tape, grad_emb.astype(model.E.dtype))

@@ -32,7 +32,6 @@ from .config import parse_value
 from .encoder import (
     EncoderConfig,
     EncoderModel,
-    GradientSet,
     forward_train,
     init_model,
     param_shapes,
@@ -67,6 +66,9 @@ class TrainConfig:
         for name, lr in (("lr_head", self.lr_head), ("lr_backbone", self.lr_backbone)):
             if not (math.isfinite(lr) and lr > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {lr}")
+        for name in ("shuffle_seed", "init_seed", "dropout_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     def digest(self) -> str:
         text = ";".join(f"{k}={v}" for k, v in sorted(vars(self).items()))
@@ -142,17 +144,18 @@ def make_batches(pairs: list[TrainPair], cfg: TrainConfig, epoch: int) -> list[l
     return [b for b in batches if len(b) >= 2]
 
 
-def adam_step(model: EncoderModel, grads: GradientSet, state: AdamState, cfg: TrainConfig,
+def adam_step(model: EncoderModel, grads: EncoderModel, state: AdamState, cfg: TrainConfig,
               rows: np.ndarray) -> None:
     """One in-place Adam update with bias correction and per-group learning rates.
 
-    ``E`` is updated on ``rows`` only, which must hold every row with a nonzero
-    gradient now or at any earlier step (the module docstring says why that
-    is exact); the small groups are updated whole. Every group is checked
-    for non-finite values before anything changes.
+    ``grads`` is an ``EncoderModel`` whose parameter fields hold the
+    gradients, as ``backward`` returns it. ``E`` is updated on ``rows`` only,
+    which must hold every row with a nonzero gradient now or at any earlier
+    step (the module docstring says why that is exact); the small groups are
+    updated whole. Every group is checked for non-finite values before
+    anything changes.
     """
-    lrs = {"E": cfg.lr_backbone, "W1": cfg.lr_head, "b1": cfg.lr_head, "W2": cfg.lr_head, "b2": cfg.lr_head}
-    live = {name: g[rows] if name == "E" else g for name, g in grads.items()}
+    live = {name: g[rows] if name == "E" else g for name, g in grads.param_items()}
     for name, g in live.items():
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient in parameter group {name!r}")
@@ -169,7 +172,8 @@ def adam_step(model: EncoderModel, grads: GradientSet, state: AdamState, cfg: Tr
         v += (1 - ADAM_BETA2) * g * g
         m_hat = m / (1 - ADAM_BETA1**t)
         v_hat = v / (1 - ADAM_BETA2**t)
-        p -= (lrs[name] * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.dtype)
+        lr = cfg.lr_backbone if name == "E" else cfg.lr_head
+        p -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.dtype)
         if name == "E":
             model.E[rows], state.m["E"][rows], state.v["E"][rows] = p, m, v
 
@@ -183,19 +187,20 @@ def train(
 ) -> TrainResult:
     """Full contrastive training run; deterministic given the configs' seeds.
 
-    Each step forwards both sides of a batch through the train view (fresh
-    dropout masks, seeds derived from (dropout_seed, epoch, step, side)),
-    computes the symmetrized loss and exact gradients, and applies Adam.
-    Hooks fire once after each epoch with the current Checkpoint.
+    Each step forwards a batch's M queries and then its M responses through
+    the train view as one array of 2M rows (fresh dropout masks from one
+    generator seeded with (dropout_seed, epoch, step)), computes the
+    symmetrized loss, backpropagates it once to exact gradients, and applies
+    Adam. Hooks fire once after each epoch with the current Checkpoint.
     """
     model = init_model(encoder_cfg, train_cfg.init_seed)
     adam = init_adam_state(model)
     # Consecutive pairs share texts (a response is the next pair's query):
-    # each distinct text is tokenized once, and each side keeps its texts' rows.
+    # each distinct text is tokenized once. Row 0 of pair_rows holds each
+    # pair's query text, row 1 its response text.
     row_of = {t: i for i, t in enumerate(dict.fromkeys(t for p in pairs for t in (p.query, p.response)))}
     ids, lengths = tokenize_texts(list(row_of), encoder_cfg)
-    query_rows = np.array([row_of[p.query] for p in pairs], dtype=np.intp)
-    response_rows = np.array([row_of[p.response] for p in pairs], dtype=np.intp)
+    pair_rows = np.array([[row_of[p.query] for p in pairs], [row_of[p.response] for p in pairs]], dtype=np.intp)
     live_rows = np.unique(ids)
 
     epoch_losses: list[float] = []
@@ -203,12 +208,9 @@ def train(
     for epoch in range(train_cfg.epochs):
         losses = []
         for step, batch_idx in enumerate(make_batches(pairs, train_cfg, epoch)):
-            emb_q, tape_q = forward_train(model, *take_texts(ids, lengths, query_rows[batch_idx]),
-                                          rng_seed=[train_cfg.dropout_seed, epoch, step, 0])
-            emb_r, tape_r = forward_train(model, *take_texts(ids, lengths, response_rows[batch_idx]),
-                                          rng_seed=[train_cfg.dropout_seed, epoch, step, 1])
-            batch = TrainBatch(np.vstack([emb_q, emb_r]))
-            loss_value, grads = batch_loss_and_grad(model, batch, loss_cfg, tape_q, tape_r)
+            emb, tape = forward_train(model, *take_texts(ids, lengths, pair_rows[:, batch_idx].ravel()),
+                                      rng_seed=[train_cfg.dropout_seed, epoch, step])
+            loss_value, grads = batch_loss_and_grad(model, TrainBatch(emb), loss_cfg, tape)
             adam_step(model, grads, adam, train_cfg, live_rows)
             losses.append(loss_value)
         epoch_losses.append(float(np.mean(losses)))

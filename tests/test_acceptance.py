@@ -82,22 +82,17 @@ def test_criterion_1_gradient_correctness():
     for inst in range(20):
         model = unit_scale_model(inst, cfg)
         rng = np.random.default_rng(1000 + inst)
-        seqs = [
-            flat([tuple(int(i) for i in rng.integers(3, 50, size=rng.integers(2, 6))) for _ in range(M)])
-            for _ in range(2)
-        ]
-        out_q, tape_q = forward_train(model, *seqs[0], rng_seed=[inst, 0])
-        out_r, tape_r = forward_train(model, *seqs[1], rng_seed=[inst, 1])
-        batch = TrainBatch(np.vstack([out_q, out_r]))
+        seqs = flat([tuple(int(i) for i in rng.integers(3, 50, size=rng.integers(2, 6))) for _ in range(2 * M)])
+        out, tape = forward_train(model, *seqs, rng_seed=[inst])
+        batch = TrainBatch(out)
         alphas = compute_alpha(batch, loss_cfg)
-        _, grads = batch_loss_and_grad(model, batch, loss_cfg, tape_q, tape_r)
+        _, grads = batch_loss_and_grad(model, batch, loss_cfg, tape)
 
         def f():
-            rows = np.vstack([replay_forward(model, tape_q), replay_forward(model, tape_r)])
-            return batch_loss(TrainBatch(rows), loss_cfg, alphas=alphas)[0]
+            return batch_loss(TrainBatch(replay_forward(model, tape)), loss_cfg, alphas=alphas)[0]
 
         h = 1e-5
-        grad_map = dict(grads.items())
+        grad_map = dict(grads.param_items())
         for name, p in model.param_items():
             gan = grad_map[name]
             it = np.nditer(p, flags=["multi_index"])

@@ -267,6 +267,17 @@ class TestCommandPlumbing:
         assert not any(line.startswith("epoch ") for line in stdout.splitlines())
         assert not out.exists()
 
+    def test_train_rejects_negative_seed_by_name(self, tmp_path, capsys):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("one two three four\tfive six seven eight\n" * 4)
+        out = tmp_path / "m.ckpt"
+        code, stdout, err = run(["train", "--pairs", str(pairs), "--out", str(out), "--dropout-seed", "-1"]
+                                + SMALL_FLAGS, capsys)
+        assert code == 1
+        assert err == "error: dropout_seed must be >= 0, got -1\n"
+        assert not any(line.startswith("epoch ") for line in stdout.splitlines())
+        assert not out.exists()
+
     def test_build_pairs_missing_corpus(self, tmp_path, capsys):
         code, _, err = run(["build-pairs", "--strategy", "consec",
                             "--in", str(tmp_path / "nope.jsonl"),

@@ -507,19 +507,19 @@ class TestReportsAndEmbeddingIO:
     def test_embedding_non_numeric_header_names_line(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("x 2\n1.0 2.0\n")
-        with pytest.raises(ev.EmbeddingFileError, match="^line 1: "):
+        with pytest.raises(ev.EmbeddingFileError, match=f"^{re.escape(str(p))}: line 1: "):
             ev.load_embeddings(p)
 
     def test_embedding_non_numeric_value_names_line(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("2 2\n1.0 2.0\n3.0 zz\n")
-        with pytest.raises(ev.EmbeddingFileError, match="^line 3: .*'zz'"):
+        with pytest.raises(ev.EmbeddingFileError, match=f"^{re.escape(str(p))}: line 3: .*'zz'"):
             ev.load_embeddings(p)
 
     def test_embedding_row_count_mismatch(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("2 2\n1.0 2.0\n")
-        with pytest.raises(ev.EmbeddingFileError):
+        with pytest.raises(ev.EmbeddingFileError, match=f"^{re.escape(str(p))}: header says 2 rows, file has 1$"):
             ev.load_embeddings(p)
 
     def test_embedding_invalid_utf8_names_file_and_line(self, tmp_path):

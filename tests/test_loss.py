@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dse.encoder import EncoderConfig, backward, forward_train, init_model
 from dse.loss import (
     LossConfig,
     TrainBatch,
     batch_loss,
-    batch_loss_and_grad,
     compute_alpha,
     cosines,
     sim_matrix,
@@ -18,7 +16,7 @@ from dse.loss import (
     _add_transpose,
     _partners,
 )
-from oracles import _negative_mask, cosine_sim, flat, ntxent_reference
+from oracles import _negative_mask, cosine_sim, ntxent_reference
 
 
 def scalar_oracle(rows, tau, hard_negatives=True):
@@ -323,18 +321,6 @@ class TestBatchLoss:
                 fd = (batch_loss(TrainBatch(Xp), cfg, alphas=alphas)[0]
                       - batch_loss(TrainBatch(Xm), cfg, alphas=alphas)[0]) / (2 * h)
                 assert grad[i, j] == pytest.approx(fd, rel=1e-5, abs=1e-9)
-
-    def test_combined_embedding_grad_is_dense_sum_byte_for_byte(self):
-        model = init_model(EncoderConfig(vocab_size=40, embed_dim=8, head_hidden=8, head_out=6), seed=3)
-        # Rows 3-5 only in queries, 20-22 only in responses, 9 and 10 in both.
-        out_q, tape_q = forward_train(model, *flat([(3, 9, 4), (5, 10), (9,)]), rng_seed=0)
-        out_r, tape_r = forward_train(model, *flat([(20, 10), (21, 9, 22), (10, 10)]), rng_seed=1)
-        batch = TrainBatch(np.vstack([out_q, out_r]))
-        _, grads = batch_loss_and_grad(model, batch, LossConfig(), tape_q, tape_r)
-        _, grad_emb = batch_loss(batch, LossConfig(), with_grad=True)
-        grad_emb = grad_emb.astype(model.E.dtype)
-        want = backward(model, tape_q, grad_emb[:3]).E + backward(model, tape_r, grad_emb[3:]).E
-        assert grads.E.tobytes() == want.tobytes()
 
 
 @st.composite

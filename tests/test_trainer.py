@@ -3,11 +3,11 @@ import struct
 import numpy as np
 import pytest
 
+from dse import loss as loss_mod
 from dse import trainer
 from dse.corpus import gen_synthetic
-from dse.encoder import EncoderConfig, init_model, param_shapes, tokenize_texts
-from dse.encoder import GradientSet
-from dse.loss import LossConfig
+from dse.encoder import EncoderConfig, EncoderModel, forward_train, init_model, param_shapes, tokenize_texts
+from dse.loss import LossConfig, TrainBatch, batch_loss_and_grad
 from dse.pairs import TrainPair, build_pairs
 from dse.trainer import (
     ADAM_BETA1,
@@ -36,7 +36,7 @@ def dense_adam_step(model, grads, state, cfg):
     t = state.t
     lrs = {"E": cfg.lr_backbone, "W1": cfg.lr_head, "b1": cfg.lr_head, "W2": cfg.lr_head, "b2": cfg.lr_head}
     params = dict(model.param_items())
-    for name, g in grads.items():
+    for name, g in grads.param_items():
         m = state.m[name]
         v = state.v[name]
         m *= ADAM_BETA1
@@ -90,7 +90,7 @@ class TestAdam:
         m = init_model(ENC, seed=0)
         before = {k: v.copy() for k, v in m.param_items()}
         state = init_adam_state(m)
-        grads = GradientSet(**{k: np.zeros_like(v) for k, v in m.param_items()})
+        grads = EncoderModel(config=ENC, **{k: np.zeros_like(v) for k, v in m.param_items()})
         adam_step(m, grads, state, TrainConfig(), ALL_ROWS)
         assert state.t == 1
         for k, v in m.param_items():
@@ -100,7 +100,7 @@ class TestAdam:
         m = init_model(ENC, seed=0)
         state = init_adam_state(m)
         before = m.W2.copy()
-        grads = GradientSet(**{k: np.zeros_like(v) for k, v in m.param_items()})
+        grads = EncoderModel(config=ENC, **{k: np.zeros_like(v) for k, v in m.param_items()})
         grads.W2 = np.full_like(m.W2, 0.5)
         cfg = TrainConfig(lr_head=1e-3)
         adam_step(m, grads, state, cfg, ALL_ROWS)
@@ -112,7 +112,7 @@ class TestAdam:
         m = init_model(ENC, seed=0)
         state = init_adam_state(m)
         e_before, w_before = m.E.copy(), m.W1.copy()
-        grads = GradientSet(**{k: np.ones_like(v) for k, v in m.param_items()})
+        grads = EncoderModel(config=ENC, **{k: np.ones_like(v) for k, v in m.param_items()})
         cfg = TrainConfig(lr_head=1e-3, lr_backbone=1e-2)
         adam_step(m, grads, state, cfg, ALL_ROWS)
         ratio = np.abs(e_before - m.E).max() / np.abs(w_before - m.W1).max()
@@ -123,7 +123,7 @@ class TestAdam:
         m = init_model(ENC, seed=0)
         state = init_adam_state(m)
         g = 0.37
-        grads = GradientSet(**{k: np.full_like(v, g) for k, v in m.param_items()})
+        grads = EncoderModel(config=ENC, **{k: np.full_like(v, g) for k, v in m.param_items()})
         cfg = TrainConfig()
         for _ in range(5):
             adam_step(m, grads, state, cfg, ALL_ROWS)
@@ -136,7 +136,7 @@ class TestAdam:
     def test_nonfinite_gradient_named(self):
         m = init_model(ENC, seed=0)
         state = init_adam_state(m)
-        grads = GradientSet(**{k: np.zeros_like(v) for k, v in m.param_items()})
+        grads = EncoderModel(config=ENC, **{k: np.zeros_like(v) for k, v in m.param_items()})
         grads.W1[0, 0] = np.nan
         with pytest.raises(FloatingPointError, match="W1"):
             adam_step(m, grads, state, TrainConfig(), ALL_ROWS)
@@ -144,7 +144,7 @@ class TestAdam:
     def test_nonfinite_gradient_changes_nothing(self):
         m = init_model(ENC, seed=0)
         state = init_adam_state(m)
-        grads = GradientSet(**{k: np.ones_like(v) for k, v in m.param_items()})
+        grads = EncoderModel(config=ENC, **{k: np.ones_like(v) for k, v in m.param_items()})
         adam_step(m, grads, state, TrainConfig(), ALL_ROWS)
         before = state_bytes(m, state)
         grads.b2[0] = np.nan  # the last group checked
@@ -160,8 +160,8 @@ class TestAdam:
         dense_model, live_model = init_model(ENC, seed=0), init_model(ENC, seed=0)
         dense_state, live_state = init_adam_state(dense_model), init_adam_state(live_model)
         for step in range(4):
-            grads = GradientSet(**{k: rng.standard_normal(v.shape).astype(v.dtype)
-                                   for k, v in dense_model.param_items()})
+            grads = EncoderModel(config=ENC, **{k: rng.standard_normal(v.shape).astype(v.dtype)
+                                                for k, v in dense_model.param_items()})
             grads.E = np.zeros_like(dense_model.E)
             hit = live[: len(live) - 2 * step]  # from step 1 on, some live rows get a zero gradient
             grads.E[hit] = rng.standard_normal((len(hit), ENC.embed_dim)).astype(grads.E.dtype)
@@ -181,6 +181,41 @@ class TestTrain:
     def test_bad_learning_rate_named(self, field, lr):
         with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
             TrainConfig(**{field: lr})
+
+    @pytest.mark.parametrize("field", ["shuffle_seed", "init_seed", "dropout_seed"])
+    def test_negative_seed_named(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 0, got -1$"):
+            TrainConfig(**{field: -1})
+
+    def test_one_step_is_one_forward_one_backward_one_adam_step(self, monkeypatch):
+        pairs = make_pairs(8)
+        cfg = TrainConfig(batch_size=8, epochs=1, dropout_seed=7)
+        calls = {"forward_train": 0, "backward": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+        counted(trainer, "forward_train")
+        counted(loss_mod, "backward")
+        got = train(pairs, ENC, LossConfig(), cfg).checkpoint
+        monkeypatch.undo()
+        assert calls == {"forward_train": 1, "backward": 1}
+
+        # By hand: the batch's queries then its responses as one array of rows,
+        # one forward pass seeded (dropout_seed, epoch 0, step 0), one backward pass, one Adam step.
+        model = init_model(ENC, cfg.init_seed)
+        state = init_adam_state(model)
+        (batch_idx,) = make_batches(pairs, cfg, epoch=0)
+        texts = [pairs[i].query for i in batch_idx] + [pairs[i].response for i in batch_idx]
+        emb, tape = forward_train(model, *tokenize_texts(texts, ENC), rng_seed=[cfg.dropout_seed, 0, 0])
+        _, grads = batch_loss_and_grad(model, TrainBatch(emb), LossConfig(), tape)
+        adam_step(model, grads, state, cfg, np.unique(tape.ids))
+        assert got.adam.t == state.t == 1
+        assert state_bytes(got.model, got.adam) == state_bytes(model, state)
 
     def test_one_step_per_epoch(self):
         pairs = make_pairs(8)
