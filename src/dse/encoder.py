@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -97,7 +98,11 @@ class EncoderModel:
     b2: np.ndarray  # head_out
 
     def param_items(self) -> list[tuple[str, np.ndarray]]:
-        return [("E", self.E), ("W1", self.W1), ("b1", self.b1), ("W2", self.W2), ("b2", self.b2)]
+        return [(name, getattr(self, name)) for name in param_shapes(self.config)]
+
+    def map(self, fn: Callable[[np.ndarray], np.ndarray]) -> EncoderModel:
+        """A model of the same config whose every parameter is ``fn`` of this model's."""
+        return EncoderModel(self.config, *(fn(p) for _, p in self.param_items()))
 
 
 @dataclass
@@ -113,7 +118,7 @@ class ForwardTape:
 
 
 def param_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
-    """Shape of each parameter group, in the fixed order E, W1, b1, W2, b2."""
+    """Shape of each parameter group, in the order of ``EncoderModel``'s fields."""
     return {
         "E": (cfg.vocab_size, cfg.embed_dim),
         "W1": (cfg.embed_dim, cfg.head_hidden),
@@ -123,19 +128,17 @@ def param_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
     }
 
 
-def init_model(cfg: EncoderConfig, seed: int, dtype=np.float32) -> EncoderModel:
-    """Uniform init on [-1/sqrt(fan_in), 1/sqrt(fan_in)] per matrix; zero biases.
+def init_model(cfg: EncoderConfig, seed: int) -> EncoderModel:
+    """Float32 uniform init on [-1/sqrt(fan_in), 1/sqrt(fan_in)] per matrix; zero biases.
 
     fan_in is a matrix's row count; E, W1 and W2 draw from one generator in that order."""
     rng = np.random.default_rng(seed)
-    params = {}
-    for name, shape in param_shapes(cfg).items():
+    def draw(shape: tuple[int, ...]) -> np.ndarray:
         if len(shape) == 1:
-            params[name] = np.zeros(shape, dtype=dtype)
-        else:
-            bound = 1.0 / np.sqrt(shape[0])
-            params[name] = rng.uniform(-bound, bound, size=shape).astype(dtype)
-    return EncoderModel(config=cfg, **params)
+            return np.zeros(shape, np.float32)
+        bound = 1.0 / np.sqrt(shape[0])
+        return rng.uniform(-bound, bound, size=shape).astype(np.float32)
+    return EncoderModel(cfg, *(draw(shape) for shape in param_shapes(cfg).values()))
 
 
 def forward_eval(model: EncoderModel, ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:

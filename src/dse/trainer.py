@@ -97,8 +97,8 @@ def paper_preset() -> TrainConfig:
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: EncoderModel  # first moments, one per parameter
+    v: EncoderModel  # second moments
     t: int = 0
 
 
@@ -122,11 +122,9 @@ class CheckpointError(ValueError):
 
 def init_adam_state(model: EncoderModel) -> AdamState:
     # np.zeros takes zeroed memory from calloc; np.zeros_like writes every page of E's 7.7 MB.
-    return AdamState(
-        m={name: np.zeros(p.shape, p.dtype) for name, p in model.param_items()},
-        v={name: np.zeros(p.shape, p.dtype) for name, p in model.param_items()},
-        t=0,
-    )
+    def zeros(p: np.ndarray) -> np.ndarray:
+        return np.zeros(p.shape, p.dtype)
+    return AdamState(m=model.map(zeros), v=model.map(zeros))
 
 
 def make_batches(pairs: list[TrainPair], cfg: TrainConfig, epoch: int) -> list[list[int]]:
@@ -148,34 +146,32 @@ def adam_step(model: EncoderModel, grads: EncoderModel, state: AdamState, cfg: T
               rows: np.ndarray) -> None:
     """One in-place Adam update with bias correction and per-group learning rates.
 
-    ``grads`` is an ``EncoderModel`` whose parameter fields hold the
-    gradients, as ``backward`` returns it. ``E`` is updated on ``rows`` only,
-    which must hold every row with a nonzero gradient now or at any earlier
-    step (the module docstring says why that is exact); the small groups are
-    updated whole. Every group is checked for non-finite values before
-    anything changes.
+    ``grads``, ``state.m`` and ``state.v`` are ``EncoderModel``s like ``model``.
+    ``E`` is updated on ``rows`` only, which must hold every row with a nonzero
+    gradient now or at any earlier step (the module docstring says why that is
+    exact); the small groups are updated whole. Each group of the four is
+    gathered, and every gradient checked for non-finite values before anything
+    changes; then each is updated and written back.
     """
-    live = {name: g[rows] if name == "E" else g for name, g in grads.param_items()}
-    for name, g in live.items():
+    groups = []
+    for name in param_shapes(model.config):
+        sel, lr = (rows, cfg.lr_backbone) if name == "E" else (slice(None), cfg.lr_head)
+        p, g, m, v = (getattr(s, name)[sel] for s in (model, grads, state.m, state.v))
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient in parameter group {name!r}")
+        groups.append((name, sel, lr, p, g, m, v))
     state.t += 1
     t = state.t
-    params = dict(model.param_items())
-    for name, g in live.items():
-        # E's rows are gathered into copies and written back; the small groups update in place.
-        sel = rows if name == "E" else slice(None)
-        p, m, v = params[name][sel], state.m[name][sel], state.v[name][sel]
+    for name, sel, lr, p, g, m, v in groups:
         m *= ADAM_BETA1
         m += (1 - ADAM_BETA1) * g
         v *= ADAM_BETA2
         v += (1 - ADAM_BETA2) * g * g
         m_hat = m / (1 - ADAM_BETA1**t)
         v_hat = v / (1 - ADAM_BETA2**t)
-        lr = cfg.lr_backbone if name == "E" else cfg.lr_head
         p -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.dtype)
-        if name == "E":
-            model.E[rows], state.m["E"][rows], state.v["E"][rows] = p, m, v
+        for s, updated in zip((model, state.m, state.v), (p, m, v)):
+            getattr(s, name)[sel] = updated
 
 
 def train(
@@ -233,9 +229,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     cfg = ckpt.model.config
     header = {f.name: getattr(cfg, f.name) for f in fields(EncoderConfig)}
     header.update(epoch=ckpt.epoch, adam_t=ckpt.adam.t, config_digest=ckpt.config_digest)
-    params = dict(ckpt.model.param_items())
-    arrays = [np.ascontiguousarray(group[name], dtype="<f4")
-              for group in (params, ckpt.adam.m, ckpt.adam.v) for name in param_shapes(cfg)]
+    arrays = [np.ascontiguousarray(p, dtype="<f4")
+              for group in (ckpt.model, ckpt.adam.m, ckpt.adam.v) for _, p in group.param_items()]
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -284,23 +279,22 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"checkpoint header: {exc}") from exc
 
     offset = 0
-    groups: list[dict[str, np.ndarray]] = []
+    groups: list[EncoderModel] = []
     for group_name in _ARRAY_GROUPS:
-        group = {}
+        arrays = []  # in param_shapes order, which is EncoderModel's field order
         for name, shape in param_shapes(cfg).items():
             count = int(np.prod(shape))
             chunk = payload[offset : offset + 4 * count]
             if len(chunk) != 4 * count:
                 raise CheckpointError("truncated checkpoint: array payload too short")
-            group[name] = np.frombuffer(chunk, dtype="<f4").reshape(shape).copy()
-            if not np.all(np.isfinite(group[name])):
+            arrays.append(np.frombuffer(chunk, dtype="<f4").reshape(shape).copy())
+            if not np.all(np.isfinite(arrays[-1])):
                 raise CheckpointError(f"non-finite values in {group_name} array {name!r}")
             offset += 4 * count
-        groups.append(group)
+        groups.append(EncoderModel(cfg, *arrays))
     if offset != len(payload):
         raise CheckpointError("checkpoint payload longer than expected")
 
-    params, m, v = groups
-    model = EncoderModel(config=cfg, **params)
-    adam = AdamState(m=m, v=v, t=values["adam_t"])
-    return Checkpoint(model=model, adam=adam, epoch=values["epoch"], config_digest=values["config_digest"])
+    model, m, v = groups
+    return Checkpoint(model=model, adam=AdamState(m=m, v=v, t=values["adam_t"]), epoch=values["epoch"],
+                      config_digest=values["config_digest"])

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from dse.encoder import (
     forward_eval,
     forward_train,
     init_model,
+    param_shapes,
     take_texts,
     tokenize_texts,
 )
@@ -44,6 +47,20 @@ class TestInit:
         b = init_model(SMALL, seed=3)
         for (_, pa), (_, pb) in zip(a.param_items(), b.param_items()):
             assert np.array_equal(pa, pb)
+
+    def test_parameter_names_are_the_field_names_in_order(self):
+        # load_checkpoint and map build models positionally, in param_shapes order
+        m = init_model(SMALL, seed=0)
+        assert [f.name for f in fields(EncoderModel)] == ["config", *param_shapes(SMALL)]
+        assert [(name, p.shape) for name, p in m.param_items()] == list(param_shapes(SMALL).items())
+        assert all(p.dtype == np.float32 for _, p in m.param_items())
+
+    def test_map_keeps_config_and_names(self):
+        m = init_model(SMALL, seed=0)
+        doubled = m.map(lambda p: 2 * p)
+        assert doubled.config is m.config
+        for (name, p), (got_name, got) in zip(m.param_items(), doubled.param_items()):
+            assert got_name == name and got.tobytes() == (2 * p).tobytes()
 
     def test_biases_zero(self):
         m = init_model(SMALL, seed=0)
@@ -120,7 +137,7 @@ class TestForward:
     def test_pool_is_per_row_mean_byte_for_byte(self, dtype):
         # each row sums in its own token order, independent of the other rows
         cfg = EncoderConfig(vocab_size=300, embed_dim=16)
-        m = init_model(cfg, seed=4, dtype=dtype)
+        m = init_model(cfg, seed=4).map(lambda p: p.astype(dtype))
         m.E *= np.random.default_rng(5).lognormal(sigma=3.0, size=m.E.shape).astype(dtype)
         rng = np.random.default_rng(6)
         lengths = rng.permutation(np.repeat(np.arange(1, 41), 3))

@@ -34,23 +34,20 @@ def dense_adam_step(model, grads, state, cfg):
     """Adam over every row of E: the reference that adam_step's live-row update must equal."""
     state.t += 1
     t = state.t
-    lrs = {"E": cfg.lr_backbone, "W1": cfg.lr_head, "b1": cfg.lr_head, "W2": cfg.lr_head, "b2": cfg.lr_head}
-    params = dict(model.param_items())
     for name, g in grads.param_items():
-        m = state.m[name]
-        v = state.v[name]
+        p, m, v = getattr(model, name), getattr(state.m, name), getattr(state.v, name)
         m *= ADAM_BETA1
         m += (1 - ADAM_BETA1) * g
         v *= ADAM_BETA2
         v += (1 - ADAM_BETA2) * g * g
         m_hat = m / (1 - ADAM_BETA1**t)
         v_hat = v / (1 - ADAM_BETA2**t)
-        params[name] -= (lrs[name] * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(params[name].dtype)
+        lr = cfg.lr_backbone if name == "E" else cfg.lr_head
+        p -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.dtype)
 
 
 def state_bytes(model, state):
-    return ([p.tobytes() for _, p in model.param_items()]
-            + [state.m[k].tobytes() for k in state.m] + [state.v[k].tobytes() for k in state.v])
+    return [p.tobytes() for s in (model, state.m, state.v) for _, p in s.param_items()]
 
 
 def make_pairs(n):
@@ -90,17 +87,28 @@ class TestAdam:
         m = init_model(ENC, seed=0)
         before = {k: v.copy() for k, v in m.param_items()}
         state = init_adam_state(m)
-        grads = EncoderModel(config=ENC, **{k: np.zeros_like(v) for k, v in m.param_items()})
+        grads = m.map(np.zeros_like)
         adam_step(m, grads, state, TrainConfig(), ALL_ROWS)
         assert state.t == 1
         for k, v in m.param_items():
             assert np.array_equal(v, before[k])
 
+    def test_moments_are_zero_models_of_the_model_config(self):
+        m = init_model(ENC, seed=0)
+        state = init_adam_state(m)
+        assert state.t == 0
+        for moments in (state.m, state.v):
+            assert type(moments) is EncoderModel and moments.config is m.config
+            for (name, p), (got_name, got) in zip(m.param_items(), moments.param_items()):
+                assert got_name == name and got.shape == p.shape and got.dtype == p.dtype
+                assert not got.any() and not np.shares_memory(got, p)
+        assert not np.shares_memory(state.m.E, state.v.E)
+
     def test_first_step_magnitude_bound(self):
         m = init_model(ENC, seed=0)
         state = init_adam_state(m)
         before = m.W2.copy()
-        grads = EncoderModel(config=ENC, **{k: np.zeros_like(v) for k, v in m.param_items()})
+        grads = m.map(np.zeros_like)
         grads.W2 = np.full_like(m.W2, 0.5)
         cfg = TrainConfig(lr_head=1e-3)
         adam_step(m, grads, state, cfg, ALL_ROWS)
@@ -112,7 +120,7 @@ class TestAdam:
         m = init_model(ENC, seed=0)
         state = init_adam_state(m)
         e_before, w_before = m.E.copy(), m.W1.copy()
-        grads = EncoderModel(config=ENC, **{k: np.ones_like(v) for k, v in m.param_items()})
+        grads = m.map(np.ones_like)
         cfg = TrainConfig(lr_head=1e-3, lr_backbone=1e-2)
         adam_step(m, grads, state, cfg, ALL_ROWS)
         ratio = np.abs(e_before - m.E).max() / np.abs(w_before - m.W1).max()
@@ -123,20 +131,20 @@ class TestAdam:
         m = init_model(ENC, seed=0)
         state = init_adam_state(m)
         g = 0.37
-        grads = EncoderModel(config=ENC, **{k: np.full_like(v, g) for k, v in m.param_items()})
+        grads = m.map(lambda p: np.full_like(p, g))
         cfg = TrainConfig()
         for _ in range(5):
             adam_step(m, grads, state, cfg, ALL_ROWS)
         t = state.t
-        m_hat = state.m["b1"] / (1 - ADAM_BETA1**t)
-        v_hat = state.v["b1"] / (1 - ADAM_BETA2**t)
+        m_hat = state.m.b1 / (1 - ADAM_BETA1**t)
+        v_hat = state.v.b1 / (1 - ADAM_BETA2**t)
         assert np.allclose(m_hat, g, rtol=1e-5)
         assert np.allclose(v_hat, g * g, rtol=1e-5)
 
     def test_nonfinite_gradient_named(self):
         m = init_model(ENC, seed=0)
         state = init_adam_state(m)
-        grads = EncoderModel(config=ENC, **{k: np.zeros_like(v) for k, v in m.param_items()})
+        grads = m.map(np.zeros_like)
         grads.W1[0, 0] = np.nan
         with pytest.raises(FloatingPointError, match="W1"):
             adam_step(m, grads, state, TrainConfig(), ALL_ROWS)
@@ -144,7 +152,7 @@ class TestAdam:
     def test_nonfinite_gradient_changes_nothing(self):
         m = init_model(ENC, seed=0)
         state = init_adam_state(m)
-        grads = EncoderModel(config=ENC, **{k: np.ones_like(v) for k, v in m.param_items()})
+        grads = m.map(np.ones_like)
         adam_step(m, grads, state, TrainConfig(), ALL_ROWS)
         before = state_bytes(m, state)
         grads.b2[0] = np.nan  # the last group checked
@@ -160,8 +168,7 @@ class TestAdam:
         dense_model, live_model = init_model(ENC, seed=0), init_model(ENC, seed=0)
         dense_state, live_state = init_adam_state(dense_model), init_adam_state(live_model)
         for step in range(4):
-            grads = EncoderModel(config=ENC, **{k: rng.standard_normal(v.shape).astype(v.dtype)
-                                                for k, v in dense_model.param_items()})
+            grads = dense_model.map(lambda p: rng.standard_normal(p.shape).astype(p.dtype))
             grads.E = np.zeros_like(dense_model.E)
             hit = live[: len(live) - 2 * step]  # from step 1 on, some live rows get a zero gradient
             grads.E[hit] = rng.standard_normal((len(hit), ENC.embed_dim)).astype(grads.E.dtype)
@@ -229,11 +236,7 @@ class TestTrain:
         cfg = TrainConfig(batch_size=4, epochs=2)
         a = train(pairs, ENC, LossConfig(), cfg)
         b = train(pairs, ENC, LossConfig(), cfg)
-        for (_, pa), (_, pb) in zip(a.checkpoint.model.param_items(), b.checkpoint.model.param_items()):
-            assert np.array_equal(pa, pb)
-        for k in a.checkpoint.adam.m:
-            assert np.array_equal(a.checkpoint.adam.m[k], b.checkpoint.adam.m[k])
-            assert np.array_equal(a.checkpoint.adam.v[k], b.checkpoint.adam.v[k])
+        assert state_bytes(a.checkpoint.model, a.checkpoint.adam) == state_bytes(b.checkpoint.model, b.checkpoint.adam)
 
     def test_rows_no_text_hashes_to_keep_init_bytes(self):
         pairs = make_pairs(12)
@@ -242,11 +245,11 @@ class TestTrain:
         used = set(tokenize_texts([text for p in pairs for text in (p.query, p.response)], ENC)[0].tolist())
         dead = sorted(set(range(ENC.vocab_size)) - used)
         init = init_model(ENC, cfg.init_seed)
-        zeros = bytes(ckpt.adam.m["E"][dead].nbytes)
+        zeros = bytes(ckpt.adam.m.E[dead].nbytes)
         assert ckpt.model.E[dead].tobytes() == init.E[dead].tobytes()
-        assert ckpt.adam.m["E"][dead].tobytes() == zeros and ckpt.adam.v["E"][dead].tobytes() == zeros
+        assert ckpt.adam.m.E[dead].tobytes() == zeros and ckpt.adam.v.E[dead].tobytes() == zeros
         assert not np.array_equal(ckpt.model.E[sorted(used)], init.E[sorted(used)])
-        assert ckpt.adam.v["E"][sorted(used)].any(axis=1).all()  # every row a text hashes to was updated
+        assert ckpt.adam.v.E[sorted(used)].any(axis=1).all()  # every row a text hashes to was updated
 
     def test_hooks_fire_per_epoch(self):
         pairs = make_pairs(8)
@@ -291,11 +294,10 @@ class TestCheckpointIO:
         p = tmp_path / "m.ckpt"
         save_checkpoint(ckpt, p)
         loaded = load_checkpoint(p)
-        for (_, a), (_, b) in zip(ckpt.model.param_items(), loaded.model.param_items()):
-            assert np.array_equal(a, b)
-        for k in ckpt.adam.m:
-            assert np.array_equal(ckpt.adam.m[k], loaded.adam.m[k])
-            assert np.array_equal(ckpt.adam.v[k], loaded.adam.v[k])
+        for got, want in ((loaded.model, ckpt.model), (loaded.adam.m, ckpt.adam.m), (loaded.adam.v, ckpt.adam.v)):
+            assert type(got) is EncoderModel and got.config == ckpt.model.config
+            for (_, a), (_, b) in zip(got.param_items(), want.param_items()):
+                assert np.array_equal(a, b)
         assert loaded.epoch == ckpt.epoch
         assert loaded.adam.t == ckpt.adam.t
         assert loaded.config_digest == ckpt.config_digest
@@ -310,13 +312,12 @@ class TestCheckpointIO:
     def test_file_layout_byte_for_byte(self, tmp_path):
         ckpt = self.make_checkpoint()
         ckpt.model.W1 = np.asfortranarray(ckpt.model.W1)  # saved in C order all the same
-        ckpt.adam.m["b1"] = ckpt.adam.m["b1"].astype(np.float64)  # saved as f4 all the same
+        ckpt.adam.m.b1 = ckpt.adam.m.b1.astype(np.float64)  # saved as f4 all the same
         cfg = ckpt.model.config
         header = "".join(f"{k}={v}\n" for k, v in [*vars(cfg).items(), ("epoch", ckpt.epoch),
                          ("adam_t", ckpt.adam.t), ("config_digest", ckpt.config_digest)])
-        params = dict(ckpt.model.param_items())
-        payload = b"".join(np.array(g[name], dtype="<f4").tobytes()
-                           for g in (params, ckpt.adam.m, ckpt.adam.v) for name in param_shapes(cfg))
+        payload = b"".join(np.array(getattr(g, name), dtype="<f4").tobytes()
+                           for g in (ckpt.model, ckpt.adam.m, ckpt.adam.v) for name in param_shapes(cfg))
         p = tmp_path / "m.ckpt"
         save_checkpoint(ckpt, p)
         assert p.read_bytes() == CHECKPOINT_MAGIC + header.encode() + b"\n" + payload + struct.pack("<Q", len(payload))
@@ -378,8 +379,8 @@ class TestCheckpointIO:
     @pytest.mark.parametrize("group, name", [(0, "E"), (1, "b2"), (2, "W1")])
     def test_nonfinite_array_rejected(self, tmp_path, group, name):
         ckpt = self.make_checkpoint()
-        arrays = [dict(ckpt.model.param_items()), ckpt.adam.m, ckpt.adam.v][group]
-        arrays[name].flat[0] = np.inf if group else np.nan
+        structure = (ckpt.model, ckpt.adam.m, ckpt.adam.v)[group]
+        getattr(structure, name).flat[0] = np.inf if group else np.nan
         p = tmp_path / "m.ckpt"
         save_checkpoint(ckpt, p)
         with pytest.raises(CheckpointError, match=f"non-finite.*'{name}'"):
