@@ -106,6 +106,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         cfg.apply_file(args.config)
     cfg.apply_flags(args)
+    if cfg.values.get("seed", 0) < 0:
+        raise ValueError(f"seed must be >= 0, got {cfg.values['seed']}")
     if cfg.values:
         print("# resolved configuration")
         cfg.dump()
@@ -418,6 +420,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         cfg = _resolve(args)
+        out = getattr(args, "out", None)
+        if out and not Path(out).parent.is_dir():  # fail before the work, not when writing its result
+            raise FileNotFoundError(f"--out {out}: no such directory: {Path(out).parent}")
         return args.func(args, cfg)
     except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,6 +18,9 @@ import numpy as np
 
 SEP_TOKEN = "[SEP]"
 
+# Words in each topic's private pool of synthetic words.
+TOPIC_POOL_SIZE = 24
+
 
 class Speaker(Enum):
     USR = "usr"
@@ -177,12 +180,11 @@ def gen_synthetic(
     turns_per_dialogue: int,
     words_per_turn: int,
     seed: int,
-    pool_size: int = 24,
 ) -> list[Dialogue]:
     """Generate a topic-structured corpus for end-to-end sanity experiments.
 
     Every turn of a topic-t dialogue samples its words uniformly from that
-    topic's private pool of ``pool_size`` words; pools never overlap, so
+    topic's private pool of ``TOPIC_POOL_SIZE`` words; pools never overlap, so
     any cross-topic similarity in the learned space comes from training
     dynamics alone. Dialogue ids encode the topic ("topic3_d17") for
     downstream labeling. Deterministic for a fixed seed; the pools
@@ -195,7 +197,7 @@ def gen_synthetic(
     rng = np.random.default_rng(seed)
     dialogues = []
     for topic in range(num_topics):
-        pool = [topic_word(topic, j) for j in range(pool_size)]
+        pool = [topic_word(topic, j) for j in range(TOPIC_POOL_SIZE)]
         for di in range(dialogues_per_topic):
             turns = []
             for ti in range(turns_per_dialogue):

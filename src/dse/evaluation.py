@@ -228,6 +228,8 @@ def rank_topk(
     """
     if len(queries) != len(gold_responses):
         raise ValueError("queries and gold_responses must be aligned")
+    if not queries:
+        raise ValueError("need at least one query")
     if n_candidates < 2:
         raise ValueError(f"n_candidates must be >= 2, got {n_candidates}")
     rng = np.random.default_rng(seed)

@@ -272,6 +272,9 @@ def load_checkpoint(path) -> Checkpoint:
             key, _, value = line.partition("=")
             header[key] = value
         values = {key: parse_value(key, typ, header[key]) for key, typ in _HEADER_TYPES.items()}
+        for key in ("epoch", "adam_t"):
+            if values[key] < 0:
+                raise ValueError(f"{key} must be >= 0, got {values[key]}")
         cfg = EncoderConfig(**{f.name: values[f.name] for f in fields(EncoderConfig)})
     except KeyError as exc:
         raise CheckpointError(f"checkpoint header missing field {exc.args[0]!r}") from None

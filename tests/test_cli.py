@@ -278,6 +278,30 @@ class TestCommandPlumbing:
         assert not any(line.startswith("epoch ") for line in stdout.splitlines())
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "epoch-study", "eval-rank"])
+    def test_missing_out_directory_named_before_the_work(self, tmp_path, trained, capsys, monkeypatch, command):
+        pairs, ckpt = trained
+        monkeypatch.setattr("dse.cli.train", lambda *a, **k: pytest.fail("trained despite a missing --out directory"))
+        out = tmp_path / "missing_dir" / "m.out"
+        inputs = {"train": ["--pairs", str(pairs)] + SMALL_FLAGS,
+                  "epoch-study": ["--in", str(pairs), "--intent-data", str(pairs)] + SMALL_FLAGS,
+                  "eval-rank": ["--ckpt", str(ckpt), "--data", str(pairs), "--n-candidates", "10"]}
+        code, stdout, err = run([command, *inputs[command], "--out", str(out)], capsys)
+        assert code == 1
+        assert err == f"error: --out {out}: no such directory: {out.parent}\n"
+        assert "Top-1=" not in stdout
+
+    @pytest.mark.parametrize("command", ["synth", "eval-intent", "eval-rank"])
+    def test_negative_seed_named_before_reading(self, tmp_path, capsys, command):
+        unread = str(tmp_path / "unread")
+        inputs = {"synth": ["--topics", "2", "--out", unread],
+                  "eval-intent": ["--ckpt", unread, "--data", unread],
+                  "eval-rank": ["--ckpt", unread, "--data", unread]}
+        code, stdout, err = run([command, *inputs[command], "--seed", "-1"], capsys)
+        assert code == 1
+        assert err == "error: seed must be >= 0, got -1\n"
+        assert stdout == "" and not Path(unread).exists()
+
     def test_build_pairs_missing_corpus(self, tmp_path, capsys):
         code, _, err = run(["build-pairs", "--strategy", "consec",
                             "--in", str(tmp_path / "nope.jsonl"),
@@ -390,6 +414,15 @@ class TestEvalCommands:
                                  "--n-candidates", value], capsys)
         assert code == 1
         assert err.startswith("error: n_candidates must be >= 2")
+        assert "Top-1=" not in stdout
+
+    def test_eval_rank_on_comment_only_pair_file(self, tmp_path, trained, capsys):
+        _, ckpt = trained
+        data = tmp_path / "comments.tsv"
+        data.write_text("# query\tresponse\n# nothing else\n")
+        code, stdout, err = run(["eval-rank", "--ckpt", str(ckpt), "--data", str(data)], capsys)
+        assert code == 1
+        assert err == "error: need at least one query\n"
         assert "Top-1=" not in stdout
 
     def test_eval_nli(self, tmp_path, trained, capsys):

@@ -212,9 +212,8 @@ class TestGenSynthetic:
 
     def test_token_disjointness_after_hashing(self):
         # vocab >= 50x total pool size keeps cross-pool collisions under 1%
-        pool_size = 10
-        out = gen_synthetic(4, 5, 4, 5, seed=1, pool_size=pool_size)
-        vocab = 50 * 4 * pool_size
+        out = gen_synthetic(4, 5, 4, 5, seed=1)
+        vocab = 50 * 4 * corpus.TOPIC_POOL_SIZE
         ids_by_topic = {}
         for d in out:
             topic = corpus.topic_of_dialogue(d)

@@ -234,6 +234,12 @@ class TestRankTopk:
             ev.rank_topk(["q0"], ["resp0"], [f"resp{i}" for i in range(5)], emb,
                          n_candidates=n_candidates, seed=0)
 
+    def test_no_queries_rejected_before_embedding(self):
+        calls = []
+        with pytest.raises(ValueError, match="^need at least one query$"):
+            ev.rank_topk([], [], ["resp0", "resp1"], lambda texts: calls.append(texts), n_candidates=2)
+        assert calls == []
+
     def test_monotone_in_k(self):
         rng = np.random.default_rng(11)
         table = self.make_pool(rng, 60)

@@ -362,7 +362,8 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match=f"'{field}'"):
             load_checkpoint(p)
 
-    @pytest.mark.parametrize("field, value", [("vocab_size", b"5"), ("dropout_rate", b"1.5")])
+    @pytest.mark.parametrize("field, value", [("vocab_size", b"5"), ("dropout_rate", b"1.5"),
+                                              ("adam_t", b"-7"), ("epoch", b"-7")])
     def test_invalid_header_config_named(self, tmp_path, field, value):
         key = field.encode() + b"="
         edit = lambda header: b"\n".join(
