@@ -91,7 +91,7 @@ def take_texts(ids: np.ndarray, lengths: np.ndarray, rows: np.ndarray) -> tuple[
 @dataclass
 class EncoderModel:
     config: EncoderConfig
-    E: np.ndarray   # vocab_size x d
+    E: np.ndarray   # vocab_size x d; in a training step, live rows x d
     W1: np.ndarray  # d x head_hidden
     b1: np.ndarray  # head_hidden
     W2: np.ndarray  # head_hidden x head_out
@@ -200,8 +200,8 @@ def backward(model: EncoderModel, tape: ForwardTape, grad_out: np.ndarray) -> En
     ``EncoderModel`` whose parameter fields hold the gradients.
 
     Chains through the recorded dropout masks, the tanh layer, mean pooling,
-    and the embedding lookup. ``E``'s gradient is dense; vocab rows that no
-    token of the tape hits get exactly +0.0.
+    and the embedding lookup. ``E``'s gradient has ``model.E``'s shape (the
+    live rows only, in training); rows that no token of the tape hits get exactly +0.0.
     """
     n = len(tape.lengths)
     if grad_out.shape != (n, model.config.head_out):

@@ -133,7 +133,7 @@ def _max_sims(queries: list[str], protos: PrototypeSet, embedder: Embedder) -> t
     """Per query: (best label, similarity to best prototype); ties -> smallest label id."""
     sims = cosines(embedder(queries)[:, None], protos.vectors[None])
     best = sims.argmax(axis=1)  # argmax takes the first maximum; labels are sorted ascending
-    return np.array([protos.labels[b] for b in best]), sims[np.arange(len(queries)), best]
+    return np.asarray(protos.labels)[best], sims[np.arange(len(queries)), best]
 
 
 def classify_protonet(queries: list[str], protos: PrototypeSet, embedder: Embedder) -> list[tuple[int, float]]:
@@ -344,18 +344,11 @@ def f1_scores(gold: np.ndarray, pred: np.ndarray) -> tuple[float, float]:
     fp = ((gold == 0) & (pred == 1)).sum(axis=0)
     fn = ((gold == 1) & (pred == 0)).sum(axis=0)
 
-    tp_all, fp_all, fn_all = tp.sum(), fp.sum(), fn.sum()
-    micro = 2 * tp_all / (2 * tp_all + fp_all + fn_all) if (2 * tp_all + fp_all + fn_all) else 1.0
-
-    per_label = []
-    for t, f_p, f_n in zip(tp, fp, fn):
-        if t == 0 and f_p == 0 and f_n == 0:
-            per_label.append(1.0)
-        elif t == 0:
-            per_label.append(0.0)
-        else:
-            per_label.append(2 * t / (2 * t + f_p + f_n))
-    return float(micro), float(np.mean(per_label))
+    # 2TP / (2TP + FP + FN) for each label, then for all labels at once; 1 where there is no positive.
+    num = np.append(2 * tp, 2 * tp.sum())
+    den = num + np.append(fp + fn, (fp + fn).sum())
+    f1 = np.divide(num, den, out=np.ones(len(den)), where=den > 0)
+    return float(f1[-1]), float(f1[:-1].mean())
 
 
 def save_embeddings(embeddings: np.ndarray, texts: list[str], path: str | Path, sidecar: str | Path) -> None:

@@ -3,14 +3,12 @@
 Two learning-rate groups: the embedding table trains at lr_backbone, the
 contrastive head at lr_head.
 
-Adam updates only the live rows of the embedding table ``E``: the rows that
-some training query or response hashes to, found once per run. This gives
-the same bytes as a dense update. A row that no training text hashes to has
-a zero gradient at every step, so its moments stay exactly +0.0 and its
-update is ``lr * 0 / (sqrt(0) + eps) = +0.0``, which leaves its bits as they
-are. A live row is updated at every step, also when its gradient in the
-current batch is zero, so its momentum still moves it. The cost of a step
-thus follows the rows the corpus uses, not ``vocab_size``.
+Each run trains a compact table of the live rows of the embedding table
+``E`` (the rows some training text hashes to) and writes it back into the
+full table at every epoch end, so a step costs what the corpus uses, not
+``vocab_size``. The full checkpoint still equals a dense run byte for byte: a
+dead row never gets a gradient, so it keeps its init bytes and its moments
+stay +0.0.
 
 Checkpoints serialize to a versioned binary format (magic "DSECKPT1", UTF-8
 key=value header, raw little-endian f32 arrays in fixed order, 8-byte length
@@ -24,7 +22,7 @@ import math
 import os
 import struct
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -121,7 +119,7 @@ class CheckpointError(ValueError):
 
 
 def init_adam_state(model: EncoderModel) -> AdamState:
-    # np.zeros takes zeroed memory from calloc; np.zeros_like writes every page of E's 7.7 MB.
+    # np.zeros takes zeroed memory from calloc; np.zeros_like writes every page.
     def zeros(p: np.ndarray) -> np.ndarray:
         return np.zeros(p.shape, p.dtype)
     return AdamState(m=model.map(zeros), v=model.map(zeros))
@@ -142,27 +140,20 @@ def make_batches(pairs: list[TrainPair], cfg: TrainConfig, epoch: int) -> list[l
     return [b for b in batches if len(b) >= 2]
 
 
-def adam_step(model: EncoderModel, grads: EncoderModel, state: AdamState, cfg: TrainConfig,
-              rows: np.ndarray) -> None:
+def adam_step(model: EncoderModel, grads: EncoderModel, state: AdamState, cfg: TrainConfig) -> None:
     """One in-place Adam update with bias correction and per-group learning rates.
 
-    ``grads``, ``state.m`` and ``state.v`` are ``EncoderModel``s like ``model``.
-    ``E`` is updated on ``rows`` only, which must hold every row with a nonzero
-    gradient now or at any earlier step (the module docstring says why that is
-    exact); the small groups are updated whole. Each group of the four is
-    gathered, and every gradient checked for non-finite values before anything
-    changes; then each is updated and written back.
+    ``grads``, ``state.m`` and ``state.v`` are ``EncoderModel``s of ``model``'s
+    shapes. Every gradient is checked for non-finite values before anything changes.
     """
-    groups = []
-    for name in param_shapes(model.config):
-        sel, lr = (rows, cfg.lr_backbone) if name == "E" else (slice(None), cfg.lr_head)
-        p, g, m, v = (getattr(s, name)[sel] for s in (model, grads, state.m, state.v))
+    for name, g in grads.param_items():
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient in parameter group {name!r}")
-        groups.append((name, sel, lr, p, g, m, v))
     state.t += 1
     t = state.t
-    for name, sel, lr, p, g, m, v in groups:
+    for name, g in grads.param_items():
+        p, m, v = (getattr(s, name) for s in (model, state.m, state.v))
+        lr = cfg.lr_backbone if name == "E" else cfg.lr_head
         m *= ADAM_BETA1
         m += (1 - ADAM_BETA1) * g
         v *= ADAM_BETA2
@@ -170,8 +161,6 @@ def adam_step(model: EncoderModel, grads: EncoderModel, state: AdamState, cfg: T
         m_hat = m / (1 - ADAM_BETA1**t)
         v_hat = v / (1 - ADAM_BETA2**t)
         p -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.dtype)
-        for s, updated in zip((model, state.m, state.v), (p, m, v)):
-            getattr(s, name)[sel] = updated
 
 
 def train(
@@ -190,27 +179,35 @@ def train(
     Adam. Hooks fire once after each epoch with the current Checkpoint.
     """
     model = init_model(encoder_cfg, train_cfg.init_seed)
-    adam = init_adam_state(model)
     # Consecutive pairs share texts (a response is the next pair's query):
     # each distinct text is tokenized once. Row 0 of pair_rows holds each
     # pair's query text, row 1 its response text.
     row_of = {t: i for i, t in enumerate(dict.fromkeys(t for p in pairs for t in (p.query, p.response)))}
     ids, lengths = tokenize_texts(list(row_of), encoder_cfg)
     pair_rows = np.array([[row_of[p.query] for p in pairs], [row_of[p.response] for p in pairs]], dtype=np.intp)
-    live_rows = np.unique(ids)
+    live_rows, slots = np.unique(ids, return_inverse=True)
 
+    # Steps run on ``compact``, whose E holds the live rows (token ids become
+    # slots) and whose head arrays and head moments are the full ones. It keeps
+    # the run's EncoderConfig, of which it uses only the names (param_shapes),
+    # and never leaves this function.
+    compact = replace(model, E=model.E[live_rows])
+    adam = init_adam_state(compact)
+    full_m, full_v = (replace(s, E=np.zeros(model.E.shape, model.E.dtype)) for s in (adam.m, adam.v))  # calloc
     epoch_losses: list[float] = []
-    ckpt = Checkpoint(model=model, adam=adam, epoch=0, config_digest=train_cfg.digest())
     for epoch in range(train_cfg.epochs):
         losses = []
         for step, batch_idx in enumerate(make_batches(pairs, train_cfg, epoch)):
-            emb, tape = forward_train(model, *take_texts(ids, lengths, pair_rows[:, batch_idx].ravel()),
+            emb, tape = forward_train(compact, *take_texts(slots, lengths, pair_rows[:, batch_idx].ravel()),
                                       rng_seed=[train_cfg.dropout_seed, epoch, step])
-            loss_value, grads = batch_loss_and_grad(model, TrainBatch(emb), loss_cfg, tape)
-            adam_step(model, grads, adam, train_cfg, live_rows)
+            loss_value, grads = batch_loss_and_grad(compact, TrainBatch(emb), loss_cfg, tape)
+            adam_step(compact, grads, adam, train_cfg)
             losses.append(loss_value)
         epoch_losses.append(float(np.mean(losses)))
-        ckpt = Checkpoint(model=model, adam=adam, epoch=epoch + 1, config_digest=train_cfg.digest())
+        for full, part in ((model, compact), (full_m, adam.m), (full_v, adam.v)):
+            full.E[live_rows] = part.E
+        ckpt = Checkpoint(model=model, adam=AdamState(m=full_m, v=full_v, t=adam.t), epoch=epoch + 1,
+                          config_digest=train_cfg.digest())
         for hook in hooks or []:
             hook(ckpt, epoch_losses)
     return TrainResult(checkpoint=ckpt, epoch_losses=epoch_losses)

@@ -1,4 +1,6 @@
+import hashlib
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,13 +8,13 @@ import pytest
 from dse import loss as loss_mod
 from dse import trainer
 from dse.corpus import gen_synthetic
-from dse.encoder import EncoderConfig, EncoderModel, forward_train, init_model, param_shapes, tokenize_texts
+from dse.encoder import (EncoderConfig, EncoderModel, backward, forward_train, init_model, param_shapes,
+                         tokenize_texts)
 from dse.loss import LossConfig, TrainBatch, batch_loss_and_grad
 from dse.pairs import TrainPair, build_pairs
 from dse.trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
-    ADAM_EPS,
     CHECKPOINT_MAGIC,
     AdamState,
     CheckpointError,
@@ -27,23 +29,6 @@ from dse.trainer import (
 )
 
 ENC = EncoderConfig(vocab_size=500, embed_dim=8, head_hidden=8, head_out=6)
-ALL_ROWS = np.arange(ENC.vocab_size)
-
-
-def dense_adam_step(model, grads, state, cfg):
-    """Adam over every row of E: the reference that adam_step's live-row update must equal."""
-    state.t += 1
-    t = state.t
-    for name, g in grads.param_items():
-        p, m, v = getattr(model, name), getattr(state.m, name), getattr(state.v, name)
-        m *= ADAM_BETA1
-        m += (1 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1 - ADAM_BETA2) * g * g
-        m_hat = m / (1 - ADAM_BETA1**t)
-        v_hat = v / (1 - ADAM_BETA2**t)
-        lr = cfg.lr_backbone if name == "E" else cfg.lr_head
-        p -= (lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.dtype)
 
 
 def state_bytes(model, state):
@@ -88,7 +73,7 @@ class TestAdam:
         before = {k: v.copy() for k, v in m.param_items()}
         state = init_adam_state(m)
         grads = m.map(np.zeros_like)
-        adam_step(m, grads, state, TrainConfig(), ALL_ROWS)
+        adam_step(m, grads, state, TrainConfig())
         assert state.t == 1
         for k, v in m.param_items():
             assert np.array_equal(v, before[k])
@@ -111,7 +96,7 @@ class TestAdam:
         grads = m.map(np.zeros_like)
         grads.W2 = np.full_like(m.W2, 0.5)
         cfg = TrainConfig(lr_head=1e-3)
-        adam_step(m, grads, state, cfg, ALL_ROWS)
+        adam_step(m, grads, state, cfg)
         delta = before - m.W2
         assert np.all(delta > 0)  # moves against the gradient
         assert np.all(np.abs(delta) <= cfg.lr_head * 1.001)
@@ -122,7 +107,7 @@ class TestAdam:
         e_before, w_before = m.E.copy(), m.W1.copy()
         grads = m.map(np.ones_like)
         cfg = TrainConfig(lr_head=1e-3, lr_backbone=1e-2)
-        adam_step(m, grads, state, cfg, ALL_ROWS)
+        adam_step(m, grads, state, cfg)
         ratio = np.abs(e_before - m.E).max() / np.abs(w_before - m.W1).max()
         assert ratio == pytest.approx(10.0, rel=1e-4)
 
@@ -134,7 +119,7 @@ class TestAdam:
         grads = m.map(lambda p: np.full_like(p, g))
         cfg = TrainConfig()
         for _ in range(5):
-            adam_step(m, grads, state, cfg, ALL_ROWS)
+            adam_step(m, grads, state, cfg)
         t = state.t
         m_hat = state.m.b1 / (1 - ADAM_BETA1**t)
         v_hat = state.v.b1 / (1 - ADAM_BETA2**t)
@@ -147,35 +132,30 @@ class TestAdam:
         grads = m.map(np.zeros_like)
         grads.W1[0, 0] = np.nan
         with pytest.raises(FloatingPointError, match="W1"):
-            adam_step(m, grads, state, TrainConfig(), ALL_ROWS)
+            adam_step(m, grads, state, TrainConfig())
 
     def test_nonfinite_gradient_changes_nothing(self):
         m = init_model(ENC, seed=0)
         state = init_adam_state(m)
         grads = m.map(np.ones_like)
-        adam_step(m, grads, state, TrainConfig(), ALL_ROWS)
+        adam_step(m, grads, state, TrainConfig())
         before = state_bytes(m, state)
         grads.b2[0] = np.nan  # the last group checked
         with pytest.raises(FloatingPointError, match="'b2'"):
-            adam_step(m, grads, state, TrainConfig(), ALL_ROWS)
+            adam_step(m, grads, state, TrainConfig())
         assert state.t == 1
         assert state_bytes(m, state) == before
 
-    def test_live_rows_match_dense_reference(self):
-        cfg = TrainConfig(lr_head=1e-2, lr_backbone=1e-2)
-        live = np.array([3, 10, 11, 40, 200, 499])
-        rng = np.random.default_rng(0)
-        dense_model, live_model = init_model(ENC, seed=0), init_model(ENC, seed=0)
-        dense_state, live_state = init_adam_state(dense_model), init_adam_state(live_model)
-        for step in range(4):
-            grads = dense_model.map(lambda p: rng.standard_normal(p.shape).astype(p.dtype))
-            grads.E = np.zeros_like(dense_model.E)
-            hit = live[: len(live) - 2 * step]  # from step 1 on, some live rows get a zero gradient
-            grads.E[hit] = rng.standard_normal((len(hit), ENC.embed_dim)).astype(grads.E.dtype)
-            dense_adam_step(dense_model, grads, dense_state, cfg)
-            adam_step(live_model, grads, live_state, cfg, live)
-        assert live_state.t == dense_state.t == 4
-        assert state_bytes(live_model, live_state) == state_bytes(dense_model, dense_state)
+    def test_epsilon_closed_form_first_step(self):
+        # After one step m_hat = g and v_hat = g^2, so |dp| = lr * g / (|g| + eps): lr/2 at g = eps = 1e-8.
+        m = init_model(ENC, seed=0)
+        state = init_adam_state(m)
+        before = m.W2.astype(np.float64)
+        grads = m.map(np.zeros_like)
+        grads.W2 = np.full_like(m.W2, 1e-8)
+        cfg = TrainConfig(lr_head=1e-2)
+        adam_step(m, grads, state, cfg)
+        assert np.allclose(before - m.W2, cfg.lr_head / 2, rtol=1e-3)
 
 
 class TestTrain:
@@ -212,7 +192,7 @@ class TestTrain:
         monkeypatch.undo()
         assert calls == {"forward_train": 1, "backward": 1}
 
-        # By hand: the batch's queries then its responses as one array of rows,
+        # By hand, on the whole table: the batch's queries then its responses as one array of rows,
         # one forward pass seeded (dropout_seed, epoch 0, step 0), one backward pass, one Adam step.
         model = init_model(ENC, cfg.init_seed)
         state = init_adam_state(model)
@@ -220,9 +200,53 @@ class TestTrain:
         texts = [pairs[i].query for i in batch_idx] + [pairs[i].response for i in batch_idx]
         emb, tape = forward_train(model, *tokenize_texts(texts, ENC), rng_seed=[cfg.dropout_seed, 0, 0])
         _, grads = batch_loss_and_grad(model, TrainBatch(emb), LossConfig(), tape)
-        adam_step(model, grads, state, cfg, np.unique(tape.ids))
+        adam_step(model, grads, state, cfg)
         assert got.adam.t == state.t == 1
         assert state_bytes(got.model, got.adam) == state_bytes(model, state)
+
+    def test_dropout_masks_differ_between_epochs(self, monkeypatch):
+        masks = []
+        forward = trainer.forward_train
+
+        def recorded(*args, **kwargs):
+            emb, tape = forward(*args, **kwargs)
+            masks.append(tape.drop1)
+            return emb, tape
+        monkeypatch.setattr(trainer, "forward_train", recorded)
+        train(make_pairs(8), ENC, LossConfig(), TrainConfig(batch_size=8, epochs=2))
+        assert ENC.dropout_rate > 0 and len(masks) == 2  # step 0 of epoch 0, step 0 of epoch 1
+        assert masks[0].shape == masks[1].shape and not np.array_equal(masks[0], masks[1])
+
+    def test_compact_gradient_equals_dense_scatter(self):
+        # Test-only dense-dE oracle: backward on the live-row table, scattered into zeros at the
+        # live rows, equals backward's np.add.at into a dense vocab_size x d zero array.
+        texts = [t.text for d in gen_synthetic(3, 4, 4, 5, seed=1) for t in d.turns]
+        ids, lengths = tokenize_texts(texts, ENC)
+        live_rows, slots = np.unique(ids, return_inverse=True)
+        model = init_model(ENC, seed=0)
+        compact = replace(model, E=model.E[live_rows])
+        emb, tape = forward_train(compact, slots, lengths, rng_seed=3)
+        dense_emb, dense_tape = forward_train(model, ids, lengths, rng_seed=3)
+        assert emb.tobytes() == dense_emb.tobytes()
+        grad_out = np.random.default_rng(0).standard_normal(emb.shape).astype(emb.dtype)
+        got, want = backward(compact, tape, grad_out), backward(model, dense_tape, grad_out)
+        assert got.E.shape == (len(live_rows), ENC.embed_dim) and want.E.shape == model.E.shape
+        scattered = np.zeros_like(want.E)
+        scattered[live_rows] = got.E
+        assert scattered.tobytes() == want.E.tobytes()
+        for (_, a), (_, b) in zip(got.param_items()[1:], want.param_items()[1:]):
+            assert a.tobytes() == b.tobytes()
+
+    def test_adam_sees_only_the_live_rows(self, monkeypatch):
+        pairs = make_pairs(12)
+        shapes = []
+        step = trainer.adam_step
+        monkeypatch.setattr(trainer, "adam_step", lambda m, g, *rest: shapes.append(g.E.shape) or step(m, g, *rest))
+        ckpt = train(pairs, ENC, LossConfig(), TrainConfig(batch_size=4, epochs=2)).checkpoint
+        ids, _ = tokenize_texts([text for p in pairs for text in (p.query, p.response)], ENC)
+        assert shapes == [(len(np.unique(ids)), ENC.embed_dim)] * 6
+        for group in (ckpt.model, ckpt.adam.m, ckpt.adam.v):  # the full structures leave train
+            assert group.E.shape == (ENC.vocab_size, ENC.embed_dim)
 
     def test_one_step_per_epoch(self):
         pairs = make_pairs(8)
@@ -403,3 +427,26 @@ class TestCheckpointIO:
             save_checkpoint(later, p)
         assert p.read_bytes() == before
         assert [q.name for q in tmp_path.iterdir()] == ["m.ckpt"]
+
+
+# Taken on numpy 2.4.6 with scipy-openblas 0.3.31 (equal at 1 and 2 BLAS threads).
+GOLDEN_SHA256 = {
+    "defaults": "fff2b89f746066e0bd3396b71a087f6736350fe1120b54443529bfddd576cd17",
+    "paper": "93867efd526482608981626b74a2b975dd0685afcf5c42971418475c8af74355",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(GOLDEN_SHA256))
+def test_checkpoint_bytes_match_golden_digest(tmp_path, preset):
+    pairs = build_pairs(gen_synthetic(4, 20, 6, 6, seed=0), "consec")
+    if preset == "paper":  # batch 128 keeps alpha peaked and the run short
+        enc, train_cfg = EncoderConfig(head_out=128), replace(paper_preset(), batch_size=128, epochs=2)
+    else:
+        enc, train_cfg = EncoderConfig(), TrainConfig(epochs=2)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(train(pairs, enc, LossConfig(), train_cfg).checkpoint, path)
+    got = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == GOLDEN_SHA256[preset], (
+        f"{preset} checkpoint sha256 {got} != {GOLDEN_SHA256[preset]}. Another numpy or BLAS than the "
+        "one the constant was taken on may round differently. A change that alters the bytes on purpose "
+        "updates the constant here and lists old -> new in CHANGES.md.")

@@ -1,0 +1,92 @@
+"""Mutation runner: apply one-line mutants to a copy of the repo and see which the tests kill.
+
+Each mutant replaces one exact line fragment in one source file. The runner
+copies the working tree into a temporary directory, applies the mutant there,
+runs the tier-1 suite and prints a kill matrix: one row per mutant, with the
+number of failing tests and the first of them. A mutant that no test fails
+"survived": some behaviour it changes is pinned by no test.
+
+    python tools/mutants.py                 # every mutant (about 30 s each)
+    python tools/mutants.py adam-eps ...    # the named mutants only
+
+The unmutated copy runs first and must pass. The repo itself is never written.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
+         "--tb=no", "-rfE"]
+
+# (name, file, exact fragment, replacement); each fragment occurs exactly once in its file.
+MUTANTS = [
+    ("adam-eps", "src/dse/trainer.py", "ADAM_EPS = 1e-8", "ADAM_EPS = 1e-7"),
+    ("adam-beta2", "src/dse/trainer.py", "ADAM_BETA2 = 0.999", "ADAM_BETA2 = 0.99"),
+    ("dropout-seed-no-epoch", "src/dse/trainer.py",
+     "rng_seed=[train_cfg.dropout_seed, epoch, step]", "rng_seed=[train_cfg.dropout_seed, step]"),
+    ("E-at-lr-head", "src/dse/trainer.py",
+     'lr = cfg.lr_backbone if name == "E"', 'lr = cfg.lr_head if name == "E"'),
+    ("no-v-write-back", "src/dse/trainer.py",
+     "((model, compact), (full_m, adam.m), (full_v, adam.v))", "((model, compact), (full_m, adam.m))"),
+    ("keep-size-one-batch", "src/dse/trainer.py", "if len(b) >= 2]", "if len(b) >= 1]"),
+    ("dropout-half-rate", "src/dse/encoder.py",
+     "drop1 = (rng.random((n, cfg.embed_dim)) >= p)", "drop1 = (rng.random((n, cfg.embed_dim)) >= p / 2)"),
+    ("init-by-fan-out", "src/dse/encoder.py", "bound = 1.0 / np.sqrt(shape[0])", "bound = 1.0 / np.sqrt(shape[1])"),
+    ("db1-mean", "src/dse/encoder.py", "db1 = dpre1.sum(axis=0)", "db1 = dpre1.mean(axis=0)"),
+    ("exp-zero-limit", "src/dse/loss.py", "_EXP_ZERO_BELOW = -746.0", "_EXP_ZERO_BELOW = -700.0"),
+    ("rank-ties-for-gold", "src/dse/evaluation.py",
+     "np.count_nonzero(sims[1:] >= sims[0])", "np.count_nonzero(sims[1:] > sims[0])"),
+    ("f1-empty-label-zero", "src/dse/evaluation.py", "out=np.ones(len(den))", "out=np.zeros(len(den))"),
+]
+
+
+def run_tier1(root: Path) -> list[str]:
+    """Ids of the tests that fail in ``root``; a run that collects nothing counts as one failure."""
+    env = {**os.environ, "PYTHONPATH": "src", "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS", "1")}
+    proc = subprocess.run(TIER1, cwd=root, env=env, capture_output=True, text=True)
+    failed = [line.split()[1] for line in proc.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
+    return failed or ([] if proc.returncode == 0 else [f"<pytest exit {proc.returncode}>"])
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m[0] for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    ignore = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")
+    with tempfile.TemporaryDirectory(prefix="dse-mutants-") as tmp:
+        root = Path(tmp) / "repo"
+        shutil.copytree(REPO, root, ignore=ignore)
+        if failed := run_tier1(root):
+            print(f"the unmutated copy fails {len(failed)} tests, first {failed[0]}", file=sys.stderr)
+            return 1
+        survivors = 0
+        print(f"{'mutant':<24} {'result':<9} {'failed':>6}  first failing test")
+        for name, rel, old, new in MUTANTS:
+            if names and name not in names:
+                continue
+            path = root / rel
+            source = path.read_text()
+            if source.count(old) != 1:
+                print(f"{name}: fragment {old!r} occurs {source.count(old)} times in {rel}", file=sys.stderr)
+                return 1
+            path.write_text(source.replace(old, new))
+            try:
+                failed = run_tier1(root)
+            finally:
+                path.write_text(source)
+            survivors += not failed
+            print(f"{name:<24} {'killed' if failed else 'SURVIVED':<9} {len(failed):>6}  {failed[0] if failed else '-'}",
+                  flush=True)
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
