@@ -108,7 +108,8 @@ def read_tsv(
     Blank lines and lines starting with '#' are skipped. A line with any
     other field count raises ``error`` naming the file and line, and so does
     a line whose first ``text_fields`` fields (default: all) include one
-    without a word, since such a text has no tokens to embed.
+    without a word, since such a text has no tokens to embed. A file with
+    no data line raises ``error`` naming the file.
     """
     rows = []
     for lineno, line in enumerate(read_lines(path, error), start=1):
@@ -122,6 +123,8 @@ def read_tsv(
             if not text.split():
                 raise error(f"{path}: line {lineno}: field {k} has no word")
         rows.append(fields)
+    if not rows:
+        raise error(f"{path}: no data lines")
     return rows
 
 

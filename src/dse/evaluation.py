@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable
@@ -254,10 +254,15 @@ def rank_topk(
 
 def nli_probe(triples: list[tuple[str, str, str]], embedder: Embedder) -> float:
     """Fraction of (anchor, entailment, contradiction) triples where the
-    entailment is strictly closer to the anchor by cosine; ties incorrect."""
+    entailment is strictly closer to the anchor by cosine; ties incorrect.
+
+    Each distinct text is embedded once, in one call, in order of first use.
+    """
     if not triples:
         raise ValueError("need at least one triple")
-    X = embedder([text for triple in triples for text in triple])
+    texts = [text for triple in triples for text in triple]
+    index = {text: i for i, text in enumerate(dict.fromkeys(texts))}
+    X = embedder(list(index))[[index[text] for text in texts]]
     anchors, ents, cons = X[0::3], X[1::3], X[2::3]
     return int(np.count_nonzero(cosines(anchors, ents) > cosines(anchors, cons))) / len(triples)
 
@@ -266,29 +271,29 @@ def nli_probe(triples: list[tuple[str, str, str]], embedder: Embedder) -> float:
 class ActionProbe:
     W: np.ndarray  # d x num_labels
     b: np.ndarray  # num_labels
-    losses: list[float] = field(default_factory=list)
+
+
+def _sigmoid_into(z: np.ndarray, e: np.ndarray, pos: np.ndarray) -> None:
+    """Overwrite z with its logistic sigmoid; e and pos are scratch arrays of z's shape.
+
+    Branch-free: e = exp(-|z|) is e^-z where z >= 0 and e^z elsewhere, so
+    e' / (1 + e) with e' = 1 where z >= 0 is 1/(1+e^-z) there and e^z/(1+e^z)
+    elsewhere, neither of which can overflow. -|z| is taken as min(z, -z),
+    which returns a NaN z as it is, sign included.
+    """
+    np.greater_equal(z, 0.0, out=pos)
+    np.negative(z, out=e)
+    np.minimum(z, e, out=e)
+    np.exp(e, out=e)
+    np.add(e, 1.0, out=z)
+    np.copyto(e, 1.0, where=pos)
+    np.divide(e, z, out=z)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    out = z.copy()
+    _sigmoid_into(out, np.empty_like(z), np.empty(z.shape, dtype=bool))
     return out
-
-
-def probe_loss_and_grad(
-    X: np.ndarray, Y: np.ndarray, W: np.ndarray, b: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean binary cross-entropy of sigmoid(XW + b) against 0/1 targets."""
-    n, L = Y.shape
-    Z = X @ W + b
-    P = _sigmoid(Z)
-    # log-loss via logaddexp for stability: BCE = log(1+e^z) - y*z
-    loss = float(np.mean(np.logaddexp(0.0, Z) - Y * Z))
-    G = (P - Y) / (n * L)
-    return loss, X.T @ G, G.sum(axis=0)
 
 
 def train_action_probe(
@@ -300,7 +305,9 @@ def train_action_probe(
 ) -> ActionProbe:
     """Fit a zero-initialized linear multi-label probe on frozen embeddings.
 
-    Full-batch gradient descent on BCE; with zero epochs the probe scores
+    Full-batch gradient descent on the mean BCE of sigmoid(XW + b), whose
+    gradient is X^T G and the column sums of G for G = (P - Y) / (n L). Each
+    epoch reuses buffers made once per fit. With zero epochs the probe scores
     every label at exactly 0.5.
     """
     if not train or num_labels < 1:
@@ -313,15 +320,24 @@ def train_action_probe(
     Y = np.stack([y for _, y in train]).astype(np.float64)
     if Y.shape[1] != num_labels:
         raise ValueError(f"label bitsets have width {Y.shape[1]}, expected {num_labels}")
+    n, L = Y.shape
     W = np.zeros((X.shape[1], num_labels))
     b = np.zeros(num_labels)
-    probe = ActionProbe(W=W, b=b)
+    Z, e, pos = np.empty((n, L)), np.empty((n, L)), np.empty((n, L), dtype=bool)
+    dW, db = np.empty_like(W), np.empty_like(b)
     for _ in range(epochs):
-        loss, dW, db = probe_loss_and_grad(X, Y, W, b)
-        probe.losses.append(loss)
-        W -= lr * dW
-        b -= lr * db
-    return probe
+        np.matmul(X, W, out=Z)
+        Z += b
+        _sigmoid_into(Z, e, pos)
+        Z -= Y
+        Z /= n * L
+        np.matmul(X.T, Z, out=dW)
+        np.sum(Z, axis=0, out=db)
+        dW *= lr
+        W -= dW
+        db *= lr
+        b -= db
+    return ActionProbe(W=W, b=b)
 
 
 def predict_actions(probe: ActionProbe, texts: list[str], embedder: Embedder) -> np.ndarray:

@@ -93,7 +93,7 @@ def load_pair_file(path: str | Path) -> list[TrainPair]:
 
     No length filtering is applied: the file author decides what counts
     as a positive. A query or response without a single word is rejected,
-    with its line number.
+    with its line number, and so is a file with no pair.
     """
     return [TrainPair(query, response) for query, response in read_tsv(path, 2, PairFileError)]
 

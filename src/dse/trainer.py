@@ -246,53 +246,66 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint, each array straight from the file into its own buffer.
+
+    No second copy of the payload is made, and each array can be freed on its
+    own: a caller that keeps only the model does not keep the Adam moments.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.startswith(CHECKPOINT_MAGIC):
-        raise CheckpointError("bad magic: not a DSECKPT1 checkpoint")
-    sep = data.find(b"\n\n", len(CHECKPOINT_MAGIC))
-    if sep < 0:
-        raise CheckpointError("truncated checkpoint: header not terminated")
-    body = memoryview(data)[sep + 2:]  # slices of a memoryview copy no bytes
-    if len(body) < 8:
-        raise CheckpointError("truncated checkpoint: missing footer")
-    payload, footer = body[:-8], body[-8:]
-    (expected_len,) = struct.unpack("<Q", footer)
-    if len(payload) != expected_len:
-        raise CheckpointError(
-            f"truncated checkpoint: payload is {len(payload)} bytes, footer says {expected_len}"
-        )
+        size = os.fstat(fh.fileno()).st_size
+        head = bytearray(fh.read(len(CHECKPOINT_MAGIC)))
+        if head != CHECKPOINT_MAGIC:
+            raise CheckpointError("bad magic: not a DSECKPT1 checkpoint")
+        sep = -1
+        while sep < 0 and (chunk := fh.read(4096)):
+            start = max(len(CHECKPOINT_MAGIC), len(head) - 1)
+            head += chunk
+            sep = head.find(b"\n\n", start)
+        if sep < 0:
+            raise CheckpointError("truncated checkpoint: header not terminated")
+        payload_len = size - (sep + 2) - 8
+        if payload_len < 0:
+            raise CheckpointError("truncated checkpoint: missing footer")
+        fh.seek(size - 8)
+        (expected_len,) = struct.unpack("<Q", fh.read(8))
+        if payload_len != expected_len:
+            raise CheckpointError(
+                f"truncated checkpoint: payload is {payload_len} bytes, footer says {expected_len}"
+            )
 
-    try:  # a header that is not UTF-8 is a ValueError too
-        header: dict[str, str] = {}
-        for line in data[len(CHECKPOINT_MAGIC):sep].decode("utf-8").splitlines():
-            key, _, value = line.partition("=")
-            header[key] = value
-        values = {key: parse_value(key, typ, header[key]) for key, typ in _HEADER_TYPES.items()}
-        for key in ("epoch", "adam_t"):
-            if values[key] < 0:
-                raise ValueError(f"{key} must be >= 0, got {values[key]}")
-        cfg = EncoderConfig(**{f.name: values[f.name] for f in fields(EncoderConfig)})
-    except KeyError as exc:
-        raise CheckpointError(f"checkpoint header missing field {exc.args[0]!r}") from None
-    except ValueError as exc:
-        raise CheckpointError(f"checkpoint header: {exc}") from exc
+        try:  # a header that is not UTF-8 is a ValueError too
+            header: dict[str, str] = {}
+            for line in head[len(CHECKPOINT_MAGIC):sep].decode("utf-8").splitlines():
+                key, _, value = line.partition("=")
+                header[key] = value
+            values = {key: parse_value(key, typ, header[key]) for key, typ in _HEADER_TYPES.items()}
+            for key in ("epoch", "adam_t"):
+                if values[key] < 0:
+                    raise ValueError(f"{key} must be >= 0, got {values[key]}")
+            cfg = EncoderConfig(**{f.name: values[f.name] for f in fields(EncoderConfig)})
+        except KeyError as exc:
+            raise CheckpointError(f"checkpoint header missing field {exc.args[0]!r}") from None
+        except ValueError as exc:
+            raise CheckpointError(f"checkpoint header: {exc}") from exc
 
-    offset = 0
-    groups: list[EncoderModel] = []
-    for group_name in _ARRAY_GROUPS:
-        arrays = []  # in param_shapes order, which is EncoderModel's field order
-        for name, shape in param_shapes(cfg).items():
-            count = int(np.prod(shape))
-            chunk = payload[offset : offset + 4 * count]
-            if len(chunk) != 4 * count:
-                raise CheckpointError("truncated checkpoint: array payload too short")
-            arrays.append(np.frombuffer(chunk, dtype="<f4").reshape(shape).copy())
-            if not np.all(np.isfinite(arrays[-1])):
-                raise CheckpointError(f"non-finite values in {group_name} array {name!r}")
-            offset += 4 * count
-        groups.append(EncoderModel(cfg, *arrays))
-    if offset != len(payload):
+        offset = 0
+        fh.seek(sep + 2)
+        groups: list[EncoderModel] = []
+        for group_name in _ARRAY_GROUPS:
+            arrays = []  # in param_shapes order, which is EncoderModel's field order
+            for name, shape in param_shapes(cfg).items():
+                nbytes = 4 * math.prod(shape)
+                if offset + nbytes > payload_len:  # checked first: the header alone sets the shape
+                    raise CheckpointError("truncated checkpoint: array payload too short")
+                a = np.empty(shape, dtype="<f4")
+                if fh.readinto(a) != nbytes:  # the file shrank while it was read
+                    raise CheckpointError("truncated checkpoint: array payload too short")
+                if not np.all(np.isfinite(a)):
+                    raise CheckpointError(f"non-finite values in {group_name} array {name!r}")
+                arrays.append(a)
+                offset += nbytes
+            groups.append(EncoderModel(cfg, *arrays))
+    if offset != payload_len:
         raise CheckpointError("checkpoint payload longer than expected")
 
     model, m, v = groups

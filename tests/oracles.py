@@ -4,7 +4,9 @@ Each is the plain form of a computation the library does another way:
 ``cosine_sim`` is one pair at a time, ``ntxent_reference`` is a per-anchor
 loop, ``_negative_mask`` spells out which entries are negatives, and
 ``replay_forward`` reruns the train view with a tape's frozen dropout masks,
-and ``flat`` lays out per-text id lists as the encoder takes them.
+``flat`` lays out per-text id lists as the encoder takes them, and
+``probe_descent`` fits the action probe with a fresh array per step and the
+sigmoid's two branches taken by boolean masks, computing the loss as it goes.
 None of them runs outside the tests.
 """
 
@@ -65,3 +67,41 @@ def flat(seqs) -> tuple[np.ndarray, np.ndarray]:
     """The flat (ids, lengths) layout of per-text token id sequences."""
     ids = np.array([tid for seq in seqs for tid in seq], dtype=np.intp)
     return ids, np.array([len(seq) for seq in seqs], dtype=np.intp)
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def probe_loss_and_grad(
+    X: np.ndarray, Y: np.ndarray, W: np.ndarray, b: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean binary cross-entropy of sigmoid(XW + b) against 0/1 targets."""
+    n, L = Y.shape
+    Z = X @ W + b
+    P = _sigmoid(Z)
+    # log-loss via logaddexp for stability: BCE = log(1+e^z) - y*z
+    loss = float(np.mean(np.logaddexp(0.0, Z) - Y * Z))
+    G = (P - Y) / (n * L)
+    return loss, X.T @ G, G.sum(axis=0)
+
+
+def probe_descent(
+    X: np.ndarray, Y: np.ndarray, epochs: int, lr: float
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """(W, b, loss before each step) of full-batch descent from zero, as
+    ``evaluation.train_action_probe`` runs it on embeddings X and targets Y."""
+    W = np.zeros((X.shape[1], Y.shape[1]))
+    b = np.zeros(Y.shape[1])
+    losses = []
+    for _ in range(epochs):
+        loss, dW, db = probe_loss_and_grad(X, Y, W, b)
+        losses.append(loss)
+        W -= lr * dW
+        b -= lr * db
+    return W, b, losses

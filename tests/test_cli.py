@@ -422,8 +422,25 @@ class TestEvalCommands:
         data.write_text("# query\tresponse\n# nothing else\n")
         code, stdout, err = run(["eval-rank", "--ckpt", str(ckpt), "--data", str(data)], capsys)
         assert code == 1
-        assert err == "error: need at least one query\n"
+        assert err == f"error: {data}: no data lines\n"
         assert "Top-1=" not in stdout
+
+    @pytest.mark.parametrize("command, flag", [("eval-nli", "--data"), ("eval-intent", "--data"),
+                                               ("eval-oos", "--data"), ("eval-actions", "--train-data"),
+                                               ("eval-actions", "--data")])
+    def test_eval_on_comment_only_file_names_it(self, tmp_path, trained, capsys, command, flag):
+        _, ckpt = trained
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("# text\tlabel\n\n")
+        other = tmp_path / "acts.tsv"
+        other.write_text("book a table now\tbook\n")
+        files = {"--data": other, "--train-data": other} if command == "eval-actions" else {}
+        files[flag] = empty
+        args = [command, "--ckpt", str(ckpt)] + [x for kv in files.items() for x in (kv[0], str(kv[1]))]
+        code, stdout, err = run(args, capsys)
+        assert code == 1
+        assert err == f"error: {empty}: no data lines\n"
+        assert "Accuracy=" not in stdout and "F1=" not in stdout
 
     def test_eval_nli(self, tmp_path, trained, capsys):
         _, ckpt = trained

@@ -6,7 +6,8 @@ import pytest
 
 from dse import evaluation as ev
 from dse.encoder import EncoderConfig, embed_texts, init_model
-from oracles import cosine_sim
+from oracles import _sigmoid as masked_sigmoid
+from oracles import cosine_sim, probe_descent, probe_loss_and_grad
 
 
 def dict_embedder(table, dim):
@@ -322,6 +323,27 @@ class TestNLIProbe:
         ev.nli_probe([("a", "b", "c"), ("d", "e", "f")], lambda texts: calls.append(texts) or emb(texts))
         assert calls == [["a", "b", "c", "d", "e", "f"]]
 
+    def test_each_distinct_text_embedded_once(self):
+        calls = []
+        emb = dict_embedder({}, 3)
+        triples = [("a", "b", "a"), ("b", "c", "d"), ("a", "b", "a")]
+        ev.nli_probe(triples, lambda texts: calls.append(texts) or emb(texts))
+        assert calls == [["a", "b", "c", "d"]]
+
+    @pytest.mark.parametrize("kind", ["table", "model"])
+    def test_repeated_texts_match_per_row_embedding(self, kind):
+        rng = np.random.default_rng(18)
+        names = [f"w{i} w{i % 5} x{i % 3}" for i in range(12)]
+        if kind == "table":
+            emb = dict_embedder({t: rng.normal(size=4) for t in names}, 4)
+        else:
+            model = init_model(EncoderConfig(vocab_size=1000, embed_dim=16), seed=0)
+            emb = lambda texts: embed_texts(model, texts)
+        triples = [tuple(rng.choice(names, size=3)) for _ in range(200)]
+        X = emb([t for triple in triples for t in triple])
+        per_row = int(np.count_nonzero(ev.cosines(X[0::3], X[1::3]) > ev.cosines(X[0::3], X[2::3]))) / 200
+        assert ev.nli_probe(triples, emb) == per_row
+
     def test_tie_counts_incorrect(self):
         table = {"a": [1.0, 0.0], "e": [0.5, 0.5]}
         emb = dict_embedder(table, 2)
@@ -357,9 +379,33 @@ class TestActionProbe:
         rng = np.random.default_rng(14)
         table, data = self.make_data(rng)
         emb = dict_embedder(table, 4)
-        probe = ev.train_action_probe(data, emb, num_labels=2, epochs=50, lr=5.0)
-        assert all(b <= a + 1e-12 for a, b in zip(probe.losses, probe.losses[1:]))
-        assert probe.losses[-1] < probe.losses[0]
+        X = emb([t for t, _ in data])
+        Y = np.stack([y for _, y in data]).astype(np.float64)
+        _, _, losses = probe_descent(X, Y, epochs=50, lr=5.0)
+        assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+        assert losses[-1] < losses[0]
+
+    @pytest.mark.parametrize("n, d, L", [(1, 1, 1), (7, 3, 2), (40, 9, 5), (120, 33, 12)])
+    @pytest.mark.parametrize("lr", [0.3, 1.0, 5.0])
+    @pytest.mark.parametrize("epochs", [0, 1, 37])
+    def test_fit_equals_reference_loop_bytes(self, n, d, L, lr, epochs):
+        rng = np.random.default_rng([n, d, L])
+        X = rng.normal(size=(n, d)) * 40.0  # logits of hundreds: sigmoid saturates at both ends
+        X[: n // 2] *= 1e-3
+        Y = rng.integers(0, 2, size=(n, L)).astype(np.int8)
+        table = {f"x{i}": X[i] for i in range(n)}
+        probe = ev.train_action_probe([(f"x{i}", Y[i]) for i in range(n)], dict_embedder(table, d), L,
+                                      epochs=epochs, lr=lr)
+        W, b, _ = probe_descent(X, Y.astype(np.float64), epochs, lr)
+        assert probe.W.tobytes() == W.tobytes()
+        assert probe.b.tobytes() == b.tobytes()
+
+    def test_sigmoid_equals_masked_form_bytes(self):
+        special = [0.0, -0.0, 745.0, -745.0, 746.0, -746.0, np.inf, -np.inf, np.nan, -np.nan,
+                   5e-324, -5e-324, 36.7, -36.7, 709.8, -709.8]
+        z = np.concatenate([special, np.random.default_rng(19).normal(size=2000) * 50.0])
+        for arr in (z, z.reshape(-1, 8)):
+            assert ev._sigmoid(arr).tobytes() == masked_sigmoid(arr).tobytes()
 
     def test_zero_epochs_predicts_half(self):
         rng = np.random.default_rng(15)
@@ -388,20 +434,20 @@ class TestActionProbe:
         Y = rng.integers(0, 2, size=(5, 2)).astype(float)
         W = rng.normal(size=(3, 2))
         b = rng.normal(size=2)
-        loss, dW, db = ev.probe_loss_and_grad(X, Y, W, b)
+        loss, dW, db = probe_loss_and_grad(X, Y, W, b)
         h = 1e-6
         for i in range(3):
             for j in range(2):
                 Wp, Wm = W.copy(), W.copy()
                 Wp[i, j] += h
                 Wm[i, j] -= h
-                fd = (ev.probe_loss_and_grad(X, Y, Wp, b)[0] - ev.probe_loss_and_grad(X, Y, Wm, b)[0]) / (2 * h)
+                fd = (probe_loss_and_grad(X, Y, Wp, b)[0] - probe_loss_and_grad(X, Y, Wm, b)[0]) / (2 * h)
                 assert abs(dW[i, j] - fd) / max(abs(fd), 1e-6) < 1e-4
         for j in range(2):
             bp, bm = b.copy(), b.copy()
             bp[j] += h
             bm[j] -= h
-            fd = (ev.probe_loss_and_grad(X, Y, W, bp)[0] - ev.probe_loss_and_grad(X, Y, W, bm)[0]) / (2 * h)
+            fd = (probe_loss_and_grad(X, Y, W, bp)[0] - probe_loss_and_grad(X, Y, W, bm)[0]) / (2 * h)
             assert abs(db[j] - fd) / max(abs(fd), 1e-6) < 1e-4
 
 
@@ -537,6 +583,13 @@ class TestReportsAndEmbeddingIO:
 
 
 class TestLoaders:
+    @pytest.mark.parametrize("load", [ev.load_labeled_tsv, ev.load_multilabel_tsv, ev.load_nli_tsv])
+    def test_no_data_lines_names_file(self, tmp_path, load):
+        p = tmp_path / "d.tsv"
+        p.write_text("# comment\n\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: no data lines$"):
+            load(p)
+
     def test_labeled_tsv(self, tmp_path):
         p = tmp_path / "d.tsv"
         p.write_text("hello\tgreet\nbye\tfarewell\nhi\tgreet\n")

@@ -249,7 +249,8 @@ class TestPairFile:
     def test_empty(self, tmp_path):
         p = tmp_path / "pairs.tsv"
         p.write_text("")
-        assert load_pair_file(p) == []
+        with pytest.raises(PairFileError, match=f"^{re.escape(str(p))}: no data lines$"):
+            load_pair_file(p)
 
     def test_three_fields(self, tmp_path):
         p = tmp_path / "pairs.tsv"

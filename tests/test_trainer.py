@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from dse.trainer import (
     ADAM_BETA2,
     CHECKPOINT_MAGIC,
     AdamState,
+    Checkpoint,
     CheckpointError,
     TrainConfig,
     adam_step,
@@ -345,6 +347,57 @@ class TestCheckpointIO:
         p = tmp_path / "m.ckpt"
         save_checkpoint(ckpt, p)
         assert p.read_bytes() == CHECKPOINT_MAGIC + header.encode() + b"\n" + payload + struct.pack("<Q", len(payload))
+
+    def test_default_load_holds_payload_once_in_separate_arrays(self, tmp_path):
+        model = init_model(EncoderConfig(), seed=0)
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(Checkpoint(model, init_adam_state(model), epoch=0, config_digest="d"), p)
+        payload = 3 * sum(a.nbytes for _, a in model.param_items())
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= payload + 2 * 2**20
+        for group in (loaded.model, loaded.adam.m, loaded.adam.v):
+            for name, a in group.param_items():
+                assert a.dtype == np.dtype("<f4") and a.flags.c_contiguous and a.flags.aligned, name
+                # writable, and freed on its own when dropped: no view of a shared buffer
+                assert a.flags.writeable and a.flags.owndata, name
+        assert np.array_equal(loaded.model.E, model.E)
+
+    def test_header_terminator_across_read_chunks(self, tmp_path):
+        # the blank line that ends the header falls at every offset around a 4096-byte read boundary
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(self.make_checkpoint(), p)
+        data = p.read_bytes()
+        end = data.index(b"\n\n")
+        want = load_checkpoint(p)
+        for shift in range(-3, 4):
+            pad = 4096 + len(CHECKPOINT_MAGIC) - end - len(b"\npad=") + shift
+            q = tmp_path / "padded.ckpt"
+            q.write_bytes(data[:end] + b"\npad=" + b"x" * pad + data[end:])
+            got = load_checkpoint(q)
+            assert state_bytes(got.model, got.adam) == state_bytes(want.model, want.adam)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda head, payload: head.replace(b"\n\n", b"\n") + b"x" * 9000, "header not terminated"),
+        (lambda head, payload: head + payload[:7], "missing footer"),
+        (lambda head, payload: head + payload + struct.pack("<Q", len(payload) + 1),
+         "payload is [0-9]+ bytes, footer says [0-9]+"),
+        (lambda head, payload: head + payload[:-4] + struct.pack("<Q", len(payload) - 4), "array payload too short"),
+        (lambda head, payload: head + payload + b"\0" * 4 + struct.pack("<Q", len(payload) + 4),
+         "payload longer than expected"),
+    ])
+    def test_malformed_body_named(self, tmp_path, edit, message):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(self.make_checkpoint(), p)
+        data = p.read_bytes()
+        end = data.index(b"\n\n") + 2
+        p.write_bytes(edit(data[:end], data[end:-8]))
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(p)
 
     def test_wrong_magic(self, tmp_path):
         p = tmp_path / "bad.ckpt"

@@ -44,6 +44,9 @@ MUTANTS = [
     ("rank-ties-for-gold", "src/dse/evaluation.py",
      "np.count_nonzero(sims[1:] >= sims[0])", "np.count_nonzero(sims[1:] > sims[0])"),
     ("f1-empty-label-zero", "src/dse/evaluation.py", "out=np.ones(len(den))", "out=np.zeros(len(den))"),
+    ("probe-no-bias-step", "src/dse/evaluation.py", "b -= db", "pass"),
+    ("probe-grad-over-n", "src/dse/evaluation.py", "Z /= n * L", "Z /= n"),
+    ("tsv-no-data-lines-ok", "src/dse/corpus.py", "if not rows:", "if False:"),
 ]
 
 
