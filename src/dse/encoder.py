@@ -1,9 +1,17 @@
 """Hashing tokenizer and the trainable encoder: embedding table -> mean pooling -> dropout -> MLP head.
 
-Tokenization lowercases, splits on whitespace runs and hashes each word with
+Tokenization lowercases, splits on whitespace runs (the 29 ``str.isspace``
+code points, as ``str.split()`` does) and hashes each word's UTF-8 bytes with
 seeded 64-bit FNV-1a; ids 0-2 are reserved for [SEP], [SYS], [USR]. Texts
 tokenize to one flat layout ``(ids, lengths)``: their ids concatenated in
 text and word order, and one word count per text. The encoder takes that layout.
+
+``tokenize_texts`` works on all texts at once. It maps the 19 non-ASCII
+spaces to a space, encodes each text and joins them with the byte 0xFF, which
+UTF-8 never contains. One 256-entry table marks the space bytes (0xFF among
+them), so word edges and the per-text word counts come from whole-array
+comparisons. Every word occurrence is hashed in ``uint64`` arrays, longest
+word first, so byte column j updates a prefix of the words.
 
 Training view: pooled token embeddings pass through inverted dropout, a
 tanh hidden layer, a second dropout, and a linear output layer; those
@@ -14,12 +22,13 @@ The forward pass records the ids, the dropout masks and the activations in
 a ForwardTape; ``backward`` replays it to produce parameter gradients that a
 finite-difference oracle can check to ~1e-4 relative error. Pooling sums
 each row's embedding rows in token order, as ``E[ids].mean(axis=0)`` does
-(``np.add.reduceat`` would reorder the float32 sums and change checkpoint bytes).
+(``np.add.reduceat`` would reorder the float32 sums and change checkpoint bytes):
+rows are sorted longest first, and round k adds the k-th token of every row
+that has one, a prefix of the sorted rows.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,11 +39,18 @@ SYS_ID = 1
 USR_ID = 2
 NUM_RESERVED = 3
 
-_SPECIAL_IDS = {"[sep]": SEP_ID, "[sys]": SYS_ID, "[usr]": USR_ID}
+_SPECIAL_IDS = {b"[sep]": SEP_ID, b"[sys]": SYS_ID, b"[usr]": USR_ID}  # all 5 bytes long
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+# The ASCII str.isspace characters are single UTF-8 bytes; the other 19 are mapped to a space first.
+_TEXT_END = b"\xff"
+_IS_SPACE = np.zeros(256, dtype=bool)
+_IS_SPACE[list(b"\t\n\v\f\r\x1c\x1d\x1e\x1f " + _TEXT_END)] = True
+_WIDE_SPACES = str.maketrans(dict.fromkeys(
+    "\x85\xa0\u1680\u2028\u2029\u202f\u205f\u3000" + "".join(map(chr, range(0x2000, 0x200B))), " "))
 
 
 @dataclass(frozen=True)
@@ -55,29 +71,42 @@ class EncoderConfig:
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
 
-def _fnv1a_64(data: bytes, seed: int) -> int:
-    h = (_FNV_OFFSET ^ (seed & _MASK64)) & _MASK64
-    for byte in data:
-        h ^= byte
-        h = (h * _FNV_PRIME) & _MASK64
-    return h
-
-
-@functools.lru_cache(maxsize=1 << 16)
-def _word_id(word: str, vocab_size: int, hash_seed: int) -> int:
-    """Id of one lowercased word. Cached: a corpus repeats its words, and the hash is pure Python."""
-    special = _SPECIAL_IDS.get(word)
-    if special is not None:
-        return special
-    return NUM_RESERVED + _fnv1a_64(word.encode("utf-8"), hash_seed) % (vocab_size - NUM_RESERVED)
+def _longest_first(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(stable order of ``sizes``, longest first; ``longer``), where ``longer[k]`` counts the sizes >= k."""
+    return np.argsort(-sizes, kind="stable"), np.cumsum(np.bincount(sizes)[::-1])[::-1]
 
 
 def tokenize_texts(texts: list[str], cfg: EncoderConfig) -> tuple[np.ndarray, np.ndarray]:
     """The flat layout of ``texts``. A word hashes into ``[NUM_RESERVED, vocab_size)``
     unless it is [SEP], [SYS] or [USR] (any case), which take their reserved ids."""
-    words = [text.lower().split() for text in texts]
-    ids = np.array([_word_id(w, cfg.vocab_size, cfg.hash_seed) for ws in words for w in ws], dtype=np.intp)
-    return ids, np.array([len(ws) for ws in words], dtype=np.intp)
+    encoded = [text.encode() if text.isascii() else text.translate(_WIDE_SPACES).encode()
+               for text in map(str.lower, texts)]
+    buf = np.frombuffer(_TEXT_END.join([b"", *encoded, b""]), dtype=np.uint8)
+    space = _IS_SPACE.take(buf)
+    # buf starts and ends with 0xFF, so the edges alternate: a word's first byte, the byte after its last
+    edges = np.flatnonzero(space[1:] != space[:-1]) + 1
+    starts = edges[0::2]
+    sizes = edges[1::2] - starts
+    counts = np.diff(np.searchsorted(starts, np.flatnonzero(buf == _TEXT_END[0])))
+
+    # FNV-1a of every word, longest first: byte j goes to the words with more than j bytes, a prefix
+    order, longer = _longest_first(sizes)
+    first = starts[order]
+    h = np.full(len(first), _FNV_OFFSET ^ (cfg.hash_seed & _MASK64), dtype=np.uint64)
+    for j in range(len(longer) - 1):
+        live = longer[j + 1]
+        h[:live] ^= buf.take(first[:live] + j)
+        h[:live] *= _FNV_PRIME
+    hashed = NUM_RESERVED + (h % (cfg.vocab_size - NUM_RESERVED)).astype(np.intp)
+
+    # The special words are the 5-byte words starting with "[" whose bytes equal one of them
+    five = np.flatnonzero((sizes[order] == 5) & (buf.take(first) == ord("[")))
+    words = buf[first[five, None] + np.arange(5)]
+    for word, special in _SPECIAL_IDS.items():
+        hashed[five[(words == np.frombuffer(word, dtype=np.uint8)).all(axis=1)]] = special
+    ids = np.empty_like(hashed)
+    ids[order] = hashed
+    return ids, counts
 
 
 def take_texts(ids: np.ndarray, lengths: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -144,16 +173,21 @@ def init_model(cfg: EncoderConfig, seed: int) -> EncoderModel:
 def forward_eval(model: EncoderModel, ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Evaluation view: row means of E over each row's ids, deterministic, no head.
 
-    Round k adds every row's k-th token, in token order."""
+    Rows are taken longest first; round k adds the k-th token of the rows that
+    have one, a prefix of them, so each row adds its tokens in token order."""
     if not lengths.all():
         raise ValueError(f"token sequence {int(np.argmin(lengths))} is empty; nothing to pool")
-    starts = np.cumsum(lengths) - lengths
-    sums = model.E[ids[starts]]
-    for k in range(1, int(lengths.max(initial=0))):
-        rows = np.flatnonzero(lengths > k)
-        sums[rows] += model.E[ids[starts[rows] + k]]
+    order, longer = _longest_first(lengths)
+    starts = (np.cumsum(lengths) - lengths)[order]
+    sums = model.E.take(ids.take(starts), axis=0)
+    for k in range(1, len(longer) - 1):
+        live = longer[k + 1]
+        sums[:live] += model.E.take(ids.take(starts[:live] + k), axis=0)
     # As in mean(): divide the sum by its intp count in float64, then cast back to E's dtype.
-    return (sums / lengths[:, None]).astype(model.E.dtype)
+    np.divide(sums, lengths[order, None], out=sums, dtype=np.float64, casting="unsafe")
+    pooled = np.empty_like(sums)
+    pooled[order] = sums
+    return pooled
 
 
 def _head(model: EncoderModel, pooled: np.ndarray, drop1: np.ndarray,

@@ -225,6 +225,9 @@ def rank_topk(
     Each query ranks its gold response against n_candidates-1 distractors
     sampled without replacement from the pool (entries textually equal to
     the gold are excluded first). Ties rank the gold last.
+
+    Each distinct text of queries, golds and pool is embedded once, in one
+    call, in order of first use.
     """
     if len(queries) != len(gold_responses):
         raise ValueError("queries and gold_responses must be aligned")
@@ -233,19 +236,19 @@ def rank_topk(
     if n_candidates < 2:
         raise ValueError(f"n_candidates must be >= 2, got {n_candidates}")
     rng = np.random.default_rng(seed)
-    q_emb = embedder(queries)
-    gold_emb = embedder(gold_responses)
-    pool_emb = embedder(pool)
-    pool_texts = np.array(pool, dtype=object)
+    index = {text: i for i, text in enumerate(dict.fromkeys([*queries, *gold_responses, *pool]))}
+    X = embedder(list(index))
+    pool_rows = np.array([index[text] for text in pool], dtype=np.intp)
     ranks = np.empty(len(queries), dtype=np.intp)
-    for qi, gold in enumerate(gold_responses):
-        available = np.flatnonzero(pool_texts != gold)
+    for qi, (query, gold) in enumerate(zip(queries, gold_responses)):
+        gold_row = index[gold]
+        available = np.flatnonzero(pool_rows != gold_row)
         if len(available) < n_candidates - 1:
             raise ValueError(
                 f"pool has {len(available)} usable entries, need {n_candidates - 1}"
             )
         chosen = available[rng.choice(len(available), size=n_candidates - 1, replace=False)]
-        sims = cosines(q_emb[qi], np.vstack([gold_emb[qi:qi + 1], pool_emb[chosen]]))
+        sims = cosines(X[index[query]], X[np.concatenate(([gold_row], pool_rows[chosen]))])
         ranks[qi] = 1 + np.count_nonzero(sims[1:] >= sims[0])  # ties pessimistic against gold
     n = len(queries)
     metrics = {f"Top-{k}": int(np.count_nonzero(ranks <= k)) / n for k in k_values}

@@ -4,7 +4,10 @@ Each is the plain form of a computation the library does another way:
 ``cosine_sim`` is one pair at a time, ``ntxent_reference`` is a per-anchor
 loop, ``_negative_mask`` spells out which entries are negatives, and
 ``replay_forward`` reruns the train view with a tape's frozen dropout masks,
-``flat`` lays out per-text id lists as the encoder takes them, and
+``flat`` lays out per-text id lists as the encoder takes them,
+``tokenize_reference`` splits each text with ``str.split`` and hashes one word
+at a time with a byte-at-a-time FNV-1a, ``pool_rounds`` mean-pools with one
+fancy-indexed update of the unsorted rows per token position, and
 ``probe_descent`` fits the action probe with a fresh array per step and the
 sigmoid's two branches taken by boolean masks, computing the loss as it goes.
 None of them runs outside the tests.
@@ -14,7 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from dse.encoder import EncoderModel, ForwardTape, _head, forward_eval
+from dse.encoder import (NUM_RESERVED, SEP_ID, SYS_ID, USR_ID, EncoderConfig, EncoderModel, ForwardTape,
+                         _head, forward_eval)
 from dse.loss import EPS_NORM, LossConfig, TrainBatch, _partners
 
 
@@ -67,6 +71,42 @@ def flat(seqs) -> tuple[np.ndarray, np.ndarray]:
     """The flat (ids, lengths) layout of per-text token id sequences."""
     ids = np.array([tid for seq in seqs for tid in seq], dtype=np.intp)
     return ids, np.array([len(seq) for seq in seqs], dtype=np.intp)
+
+
+def fnv1a_64(data: bytes, seed: int) -> int:
+    """64-bit FNV-1a of ``data``, one byte at a time, from the offset basis xor the seed's low 64 bits."""
+    mask = 0xFFFFFFFFFFFFFFFF
+    h = 0xCBF29CE484222325 ^ (seed & mask)
+    for byte in data:
+        h ^= byte
+        h = (h * 0x100000001B3) & mask
+    return h
+
+
+def word_id(word: str, cfg: EncoderConfig) -> int:
+    """Id of one lowercased word: its reserved id if it is [sep], [sys] or [usr], else its hash bucket."""
+    special = {"[sep]": SEP_ID, "[sys]": SYS_ID, "[usr]": USR_ID}.get(word)
+    if special is not None:
+        return special
+    return NUM_RESERVED + fnv1a_64(word.encode("utf-8"), cfg.hash_seed) % (cfg.vocab_size - NUM_RESERVED)
+
+
+def tokenize_reference(texts: list[str], cfg: EncoderConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The flat layout ``tokenize_texts`` gives: ``text.lower().split()``, then one id per word."""
+    return flat([[word_id(word, cfg) for word in text.lower().split()] for text in texts])
+
+
+def pool_rounds(model: EncoderModel, ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The eval view's mean pooling with the rows unsorted: round k adds the k-th token of
+    every row that has one, picked out by fancy indexing."""
+    if not lengths.all():
+        raise ValueError(f"token sequence {int(np.argmin(lengths))} is empty; nothing to pool")
+    starts = np.cumsum(lengths) - lengths
+    sums = model.E[ids[starts]]
+    for k in range(1, int(lengths.max(initial=0))):
+        rows = np.flatnonzero(lengths > k)
+        sums[rows] += model.E[ids[starts[rows] + k]]
+    return (sums / lengths[:, None]).astype(model.E.dtype)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

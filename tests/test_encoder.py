@@ -1,8 +1,9 @@
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dse.encoder import (
     EncoderConfig,
@@ -16,7 +17,7 @@ from dse.encoder import (
     take_texts,
     tokenize_texts,
 )
-from oracles import flat, replay_forward
+from oracles import flat, pool_rounds, replay_forward, tokenize_reference
 
 SMALL = EncoderConfig(vocab_size=50, embed_dim=8, head_hidden=8, head_out=6, dropout_rate=0.1)
 
@@ -115,8 +116,10 @@ class TestForward:
 
     def test_empty_seq_rejected(self):
         m = init_model(SMALL, seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^token sequence 0 is empty; nothing to pool$"):
             forward_eval(m, *flat([()]))
+        with pytest.raises(ValueError, match=r"^token sequence 2 is empty; nothing to pool$"):
+            forward_eval(m, *flat([(4,), (5, 6), (), (7,)]))
 
     def test_inverted_dropout_expectation(self):
         # averaging stochastic pooled outputs over many masks approaches the
@@ -135,7 +138,7 @@ class TestForward:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_pool_is_per_row_mean_byte_for_byte(self, dtype):
-        # each row sums in its own token order, independent of the other rows
+        # each row sums in its own token order, independent of the other rows; the lengths are ragged and unsorted
         cfg = EncoderConfig(vocab_size=300, embed_dim=16)
         m = init_model(cfg, seed=4).map(lambda p: p.astype(dtype))
         m.E *= np.random.default_rng(5).lognormal(sigma=3.0, size=m.E.shape).astype(dtype)
@@ -144,7 +147,7 @@ class TestForward:
         seqs = [tuple(int(i) for i in rng.integers(0, 300, size=n)) for n in lengths]
         want = np.stack([m.E[list(s)].mean(axis=0) for s in seqs])
         got = forward_eval(m, *flat(seqs))
-        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+        assert got.dtype == dtype and got.tobytes() == want.tobytes() == pool_rounds(m, *flat(seqs)).tobytes()
 
     def test_replay_reproduces_forward(self):
         m = random_model(3)
@@ -253,3 +256,37 @@ class TestFlatLayout:
         got_ids, got_lengths = take_texts(ids, lengths, np.array(rows, dtype=np.intp))
         want_ids, want_lengths = tokenize_texts([texts[r] for r in rows], cfg)
         assert got_ids.tolist() == want_ids.tolist() and got_lengths.tolist() == want_lengths.tolist()
+
+
+# Pieces that the tokenizer treats specially: the reserved words in mixed case, astral and
+# case-changing characters, and ASCII and non-ASCII whitespace.
+PIECES = ["[SeP]", "[sYs]", "[USR]", "[sep]x", "\U0001F600", "\U00010400", "\u0130", "\u212a",
+          " ", "\t", "\x1c", "\x85", "\xa0", "\u2003", "\u3000", "\xff"]
+
+
+class TestTokenizerOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.lists(st.one_of(st.text(max_size=10), st.sampled_from(PIECES)), max_size=8).map("".join),
+                    max_size=8),
+           st.integers(-2**70, 2**70),
+           st.sampled_from([8, 9, 64, 30000, 2**40]))
+    @example([], 0, 8)
+    @example(["", "[SeP] a\U0001F600b [usr]x", "   "], -1, 8)
+    @example(["[SYS] hello"], 2**64 + 5, 30000)
+    def test_ids_and_lengths_equal_the_oracle(self, texts, hash_seed, vocab_size):
+        cfg = EncoderConfig(vocab_size=vocab_size, hash_seed=hash_seed)
+        ids, lengths = tokenize_texts(texts, cfg)
+        want_ids, want_lengths = tokenize_reference(texts, cfg)
+        assert ids.dtype == lengths.dtype == np.intp
+        assert ids.tolist() == want_ids.tolist() and lengths.tolist() == want_lengths.tolist()
+
+    def test_every_isspace_code_point_separates_words(self):
+        spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+        assert len(spaces) == 29
+        ids, lengths = tokenize_texts([f"a{c}b" for c in spaces], SMALL)
+        want, _ = tokenize_texts(["a b"], SMALL)
+        assert lengths.tolist() == [2] * 29 and ids.tolist() == want.tolist() * 29
+
+    def test_lone_surrogate_raises(self):
+        with pytest.raises(UnicodeEncodeError):
+            tokenize_texts(["fine", "a \ud800 b"], SMALL)

@@ -195,6 +195,23 @@ class TestOOSMetrics:
             ev.oos_metrics([0], [])
 
 
+def brute_force_hits(queries, golds, pool, vec, n_candidates, seed, k_values):
+    """rank_topk's metrics, recomputed: the same sampling stream, distractors found by
+    comparing strings, ``vec(text)`` for each text on its own and an independent sort."""
+    check_rng = np.random.default_rng(seed)
+    hits = dict.fromkeys(k_values, 0)
+    for query, gold in zip(queries, golds):
+        available = [t for t in pool if t != gold]
+        chosen = check_rng.choice(len(available), size=n_candidates - 1, replace=False)
+        cands = [gold] + [available[c] for c in chosen]
+        sims = [cosine_sim(vec(query), vec(c)) for c in cands]
+        order = sorted(range(len(cands)), key=lambda i: (-sims[i], i == 0))  # gold last on ties
+        rank = order.index(0) + 1
+        for k in hits:
+            hits[k] += rank <= k
+    return {f"Top-{k}": hits[k] / len(queries) for k in k_values}
+
+
 class TestRankTopk:
     def make_pool(self, rng, n):
         table = {f"resp{i}": rng.normal(size=5) for i in range(n)}
@@ -253,14 +270,34 @@ class TestRankTopk:
         assert vals == sorted(vals)
         assert vals[-1] == 1.0
 
-    def test_embeds_queries_golds_and_pool_once_each(self):
+    def test_embeds_each_distinct_text_once_in_one_call(self):
         table = self.make_pool(np.random.default_rng(14), 30)
         calls = []
         emb = dict_embedder(table, 5)
         queries = [f"q{i}" for i in range(10)]
-        ev.rank_topk(queries, [f"resp{i}" for i in range(10)], [f"resp{i}" for i in range(30)],
-                     lambda texts: calls.append(len(texts)) or emb(texts), n_candidates=20)
-        assert calls == [10, 10, 30]
+        pool = [f"resp{i}" for i in range(30)]
+        ev.rank_topk(queries, [f"resp{i}" for i in range(10)], pool,
+                     lambda texts: calls.append(list(texts)) or emb(texts), n_candidates=20)
+        assert calls == [queries + pool]
+
+    def test_golds_as_pool_on_a_model_equal_each_text_embedded_alone(self):
+        # the form `dse eval-rank` uses: the pool is the golds, and texts repeat across and within lists
+        model = init_model(EncoderConfig(vocab_size=1000, embed_dim=16), seed=0)
+        rng = np.random.default_rng(16)
+        words = [f"w{i}" for i in range(40)]
+        sentences = [" ".join(rng.choice(words, size=n)) for n in rng.integers(1, 8, size=30)]
+        golds = [sentences[i] for i in rng.integers(0, 30, size=60)]
+        queries = [sentences[i] for i in rng.integers(0, 30, size=60)]
+        calls = []
+
+        def embedder(texts):
+            calls.append(list(texts))
+            return embed_texts(model, texts)
+
+        report = ev.rank_topk(queries, golds, golds, embedder, k_values=(1, 3, 10), n_candidates=12, seed=5)
+        assert calls == [list(dict.fromkeys(queries + golds))]
+        want = brute_force_hits(queries, golds, golds, lambda t: embed_texts(model, [t])[0], 12, 5, (1, 3, 10))
+        assert report.metrics == want
 
     def test_identically_tokenized_distractor_ties_against_gold(self):
         # an upper-case copy of the gold pools to the same embedding bytes, so it
@@ -292,23 +329,10 @@ class TestRankTopk:
         queries = [f"q{i}" for i in range(n_q)]
         golds = [f"resp{i % 80}" for i in range(n_q)]
         pool = [f"resp{i}" for i in range(80)]
-        # reproduce the sampling stream, then rank with an independent sort
-        check_rng = np.random.default_rng(3)
-        expect_hits = {1: 0, 3: 0, 10: 0}
-        for qi in range(n_q):
-            gold = golds[qi]
-            available = [t for t in pool if t != gold]
-            chosen = check_rng.choice(len(available), size=29, replace=False)
-            cands = [gold] + [available[c] for c in chosen]
-            sims = [cosine_sim(table[queries[qi]], np.asarray(table[c])) for c in cands]
-            order = sorted(range(len(cands)), key=lambda i: (-sims[i], i == 0))  # gold last on ties
-            rank = order.index(0) + 1
-            for k in expect_hits:
-                if rank <= k:
-                    expect_hits[k] += 1
+        want = brute_force_hits(queries, golds, pool, lambda t: np.asarray(table[t]), 30, 3, (1, 3, 10))
         report = ev.rank_topk(queries, golds, pool, emb, k_values=(1, 3, 10), n_candidates=30, seed=3)
         for k in (1, 3, 10):
-            assert report.metrics[f"Top-{k}"] == pytest.approx(expect_hits[k] / n_q)
+            assert report.metrics[f"Top-{k}"] == pytest.approx(want[f"Top-{k}"])
 
 
 class TestNLIProbe:

@@ -39,6 +39,10 @@ MUTANTS = [
     ("dropout-half-rate", "src/dse/encoder.py",
      "drop1 = (rng.random((n, cfg.embed_dim)) >= p)", "drop1 = (rng.random((n, cfg.embed_dim)) >= p / 2)"),
     ("init-by-fan-out", "src/dse/encoder.py", "bound = 1.0 / np.sqrt(shape[0])", "bound = 1.0 / np.sqrt(shape[1])"),
+    ("space-table-no-1c", "src/dse/encoder.py", r"\x1c\x1d", r"\x1d"),
+    ("pool-longer-k", "src/dse/encoder.py", "live = longer[k + 1]", "live = longer[k]"),
+    ("seed-no-mask", "src/dse/encoder.py",
+     "_FNV_OFFSET ^ (cfg.hash_seed & _MASK64)", "_FNV_OFFSET ^ cfg.hash_seed"),
     ("db1-mean", "src/dse/encoder.py", "db1 = dpre1.sum(axis=0)", "db1 = dpre1.mean(axis=0)"),
     ("exp-zero-limit", "src/dse/loss.py", "_EXP_ZERO_BELOW = -746.0", "_EXP_ZERO_BELOW = -700.0"),
     ("rank-ties-for-gold", "src/dse/evaluation.py",
