@@ -24,14 +24,22 @@ finite-difference oracle in the tests freezes them identically. All
 softmax-style expressions run in 64-bit with max-subtraction, over whole
 n x n arrays in place.
 
-Because alpha sits in the exponent, almost every term of the log-sum-exp is
-exactly 0, and libm reaches that +0.0 through its slow underflow path, so
-``batch_loss`` writes +0.0 at the logits below ``_EXP_ZERO_BELOW`` and takes
-exp of the rest only. The sum w + w^T of the per-anchor gradient
-coefficients is added in place in ``_TILE`` x ``_TILE`` tile pairs, so no
-strided read crosses the whole array, and the logits overwrite the similarity
-array, so no third n x n array is made. These keep every byte. Two kernels round differently from the textbook form, a declared
-change of bytes, for speed: ``sim_matrix`` multiplies by a copy of U^T, which
+Because alpha sits in the exponent, almost every term of the log-sum-exp
+underflows. The CPU takes a slow path wherever a result or an operand is
+subnormal: in exp, in the passes that turn its output into gradient
+coefficients, and in the gemm that takes (w + w^T) U. So ``batch_loss`` writes
++0.0 at the logits below ``_EXP_ZERO_BELOW``, the log of the smallest normal
+float64, and takes exp of the rest only: no exp writes a subnormal. The loss
+keeps its bytes: each row sum holds exp(0) = 1, so it is at least 1, and a
+dropped term is below 2.2e-308, far less than half an ulp of the sum. The gradient
+coefficients of the dropped terms read +0.0, not a subnormal, and the gemm can
+then round a few entries of (w + w^T) U differently, in their last bits.
+
+The sum w + w^T of the per-anchor gradient coefficients is added in place in
+``_TILE`` x ``_TILE`` tile pairs, so no strided read crosses the whole array,
+and the logits overwrite the similarity array, so no third n x n array is
+made. These keep every byte. Two kernels round differently from the textbook
+form, a declared change of bytes, for speed: ``sim_matrix`` multiplies by a copy of U^T, which
 numpy sends to gemm, not to the slower syrk; and with G = (w + w^T) U the
 gradient is each G_a's part orthogonal to u_a, over ||e_a||, which saves the
 B * s and row-sum passes over the n x n array.
@@ -49,8 +57,8 @@ from .encoder import EncoderModel, ForwardTape, backward
 # Floor on a vector norm before dividing by it.
 EPS_NORM = 1e-12
 
-# Every float64 below -745.1333 has an exp of exactly +0.0.
-_EXP_ZERO_BELOW = -746.0
+# log of the smallest normal float64: exp is normal at and above it, subnormal or +0.0 below.
+_EXP_ZERO_BELOW = -708.3964185322641
 
 # Side of the square tiles in which ``_add_transpose`` adds w^T to w.
 _TILE = 64

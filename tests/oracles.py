@@ -7,7 +7,8 @@ loop, ``_negative_mask`` spells out which entries are negatives, and
 ``flat`` lays out per-text id lists as the encoder takes them,
 ``tokenize_reference`` splits each text with ``str.split`` and hashes one word
 at a time with a byte-at-a-time FNV-1a, ``pool_rounds`` mean-pools with one
-fancy-indexed update of the unsorted rows per token position, and
+fancy-indexed update of the unsorted rows per token position,
+``scatter_rows`` adds the embedding-gradient rows with a row-wise ``np.add.at``, and
 ``probe_descent`` fits the action probe with a fresh array per step and the
 sigmoid's two branches taken by boolean masks, computing the loss as it goes.
 None of them runs outside the tests.
@@ -107,6 +108,11 @@ def pool_rounds(model: EncoderModel, ids: np.ndarray, lengths: np.ndarray) -> np
         rows = np.flatnonzero(lengths > k)
         sums[rows] += model.E[ids[starts[rows] + k]]
     return (sums / lengths[:, None]).astype(model.E.dtype)
+
+
+def scatter_rows(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """Add row t of ``rows`` into row ``ids[t]`` of ``out``, in the order of ``ids``."""
+    np.add.at(out, ids, rows)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

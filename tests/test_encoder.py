@@ -16,8 +16,11 @@ from dse.encoder import (
     param_shapes,
     take_texts,
     tokenize_texts,
+    _INIT_BLOCK_ROWS,
+    _draw_uniform,
+    _scatter_add_rows,
 )
-from oracles import flat, pool_rounds, replay_forward, tokenize_reference
+from oracles import flat, pool_rounds, replay_forward, scatter_rows, tokenize_reference
 
 SMALL = EncoderConfig(vocab_size=50, embed_dim=8, head_hidden=8, head_out=6, dropout_rate=0.1)
 
@@ -71,6 +74,17 @@ class TestInit:
         m = init_model(SMALL, seed=0)
         bound = 1 / np.sqrt(SMALL.vocab_size)
         assert np.all(np.abs(m.E) <= bound)
+
+    @pytest.mark.parametrize("rows", [1, _INIT_BLOCK_ROWS - 1, _INIT_BLOCK_ROWS, _INIT_BLOCK_ROWS + 1, 30000])
+    def test_block_draw_is_the_whole_draw_byte_for_byte(self, rows):
+        bound = 1.0 / np.sqrt(rows)
+        got_rng, want_rng = np.random.default_rng(rows), np.random.default_rng(rows)
+        got = _draw_uniform(got_rng, (rows, 64), bound)
+        want = want_rng.uniform(-bound, bound, size=(rows, 64)).astype(np.float32)
+        assert got.dtype == np.float32 and got.shape == (rows, 64)
+        assert got.tobytes() == want.tobytes()
+        # The generator is left where the whole draw leaves it.
+        assert got_rng.random(5).tobytes() == want_rng.random(5).tobytes()
 
     def test_bad_dims(self):
         with pytest.raises(ValueError):
@@ -192,6 +206,33 @@ class TestBackward:
             for tid in seq:
                 want[tid] += contrib
         assert grads.E.dtype == dtype and grads.E.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_flat_scatter_of_one_id_repeated_is_the_row_scatter(self, dtype):
+        rng = np.random.default_rng(30)
+        rows = (rng.normal(size=(10000, 8)) * rng.choice([1e-3, 1.0, 1e3], size=(10000, 8))).astype(dtype)
+        ids = np.full(10000, 2)
+        got, want = np.zeros((5, 8), dtype), np.zeros((5, 8), dtype)
+        _scatter_add_rows(got, ids, rows)
+        scatter_rows(want, ids, rows)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_flat_scatter_of_signed_zeros_subnormals_and_large_values_is_the_row_scatter(self, dtype):
+        # Large values cancel only in the order the row scatter adds them; -0.0 + -0.0 keeps its sign.
+        rng = np.random.default_rng(31)
+        sub = np.finfo(dtype).smallest_subnormal
+        pool = np.array([0.0, -0.0, sub, -sub, 7 * sub, 1e30, -1e30, 1.0, -2.5], dtype=dtype)
+        rows = pool[rng.integers(0, len(pool), size=(3000, 16))]
+        ids = rng.integers(0, 40, size=3000)
+        tiny_rows = (ids >= 30) & (ids < 36)  # rows 30-35 sum to zeros and subnormals only
+        rows[tiny_rows] = pool[rng.integers(0, 5, size=(np.count_nonzero(tiny_rows), 16))]
+        rows[ids >= 36] = -0.0
+        for start in (np.zeros((40, 16), dtype), np.full((40, 16), -0.0, dtype)):
+            got, want = start.copy(), start.copy()
+            _scatter_add_rows(got, ids, rows)
+            scatter_rows(want, ids, rows)
+            assert got.tobytes() == want.tobytes()
 
     def test_shape_mismatch(self):
         m = random_model(0)

@@ -428,16 +428,21 @@ class TestLossKernels:
         assert out is w
         assert w.tobytes() == want
 
-    def test_exp_below_the_limit_is_positive_zero(self):
-        xs = np.concatenate([
-            np.linspace(_EXP_ZERO_BELOW, -760.0, 200_001),
-            np.nextafter(_EXP_ZERO_BELOW, -np.inf, dtype=np.float64)[None],
+    def test_exp_limit_is_the_normal_boundary(self):
+        # exp is normal at and above the limit and subnormal or +0.0 below it, one ulp on either side.
+        tiny = np.finfo(np.float64).tiny
+        limit = np.float64(_EXP_ZERO_BELOW)
+        below_limit = np.nextafter(limit, -np.inf)
+        above = np.concatenate([[limit, np.nextafter(limit, np.inf)], np.linspace(limit, 0.0, 100_001)])
+        below = np.concatenate([
+            [below_limit],
+            np.linspace(below_limit, -760.0, 100_001),
             -np.logspace(np.log10(760.0), 308.0, 10_001),
             [-np.inf],
         ])
-        xs = xs[xs < _EXP_ZERO_BELOW]
-        assert xs.size > 200_000
-        assert not np.exp(xs).view(np.uint64).any()  # +0.0 is the all-zero bit pattern
+        assert (above >= limit).all() and (below < limit).all()
+        assert (np.exp(above) >= tiny).all()
+        assert (np.exp(below) < tiny).all()
 
     def test_loss_and_grad_memory_at_paper_batch(self):
         n = 2048

@@ -1,0 +1,60 @@
+"""Check the pinned checkpoint digests of the README's command-line flow.
+
+Runs ``dse synth --topics 8 --dialogues 100``, ``dse build-pairs --strategy
+consec`` and ``dse train`` in a temporary directory, in-process through
+``dse.cli.main``, once at the defaults and once at ``--preset paper --epochs 1``,
+and compares each checkpoint's sha256 with the pinned value. A change that
+moves checkpoint bytes on purpose updates the pin and says old -> new in
+CHANGES.md.
+
+    PYTHONPATH=src python tools/cli_digests.py    # about 5 s; exit 1 on a mismatch
+
+The pins were taken on numpy 2.4.6 and scipy-openblas 0.3.31; another numpy
+or BLAS may round differently.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from dse.cli import main as dse  # noqa: E402
+
+PINNED = {
+    "defaults": ([], "5ac0c08dd76f68cf772d8de30be3ed620437c2e7d3a254e6a2eacd5a609d9fca"),
+    "paper": (["--preset", "paper", "--epochs", "1"],
+              "16e1259e7a60d2b7e639f6d16c752a98fb3a476a3dad152140df0b5eb447f292"),
+}
+
+
+def run(argv: list[str]) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = dse(argv)
+    if code != 0:
+        raise SystemExit(f"dse {' '.join(argv)} exited {code}")
+
+
+def main() -> int:
+    mismatches = 0
+    with tempfile.TemporaryDirectory(prefix="dse-digests-") as tmp:
+        corpus, pairs = f"{tmp}/corpus.jsonl", f"{tmp}/pairs.tsv"
+        run(["synth", "--topics", "8", "--dialogues", "100", "--out", corpus])
+        run(["build-pairs", "--strategy", "consec", "--in", corpus, "--out", pairs])
+        for name, (flags, want) in PINNED.items():
+            ckpt = f"{tmp}/{name}.ckpt"
+            run(["train", "--pairs", pairs, "--out", ckpt, *flags])
+            got = hashlib.sha256(Path(ckpt).read_bytes()).hexdigest()
+            ok = got == want
+            mismatches += not ok
+            print(f"{name:<9} {'ok' if ok else 'MISMATCH':<9} {got}" + ("" if ok else f" (pinned {want})"))
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,7 +6,7 @@ runs the tier-1 suite and prints a kill matrix: one row per mutant, with the
 number of failing tests and the first of them. A mutant that no test fails
 "survived": some behaviour it changes is pinned by no test.
 
-    python tools/mutants.py                 # every mutant (about 30 s each)
+    python tools/mutants.py                 # every mutant (about 45 s each)
     python tools/mutants.py adam-eps ...    # the named mutants only
 
 The unmutated copy runs first and must pass. The repo itself is never written.
@@ -38,13 +38,17 @@ MUTANTS = [
     ("keep-size-one-batch", "src/dse/trainer.py", "if len(b) >= 2]", "if len(b) >= 1]"),
     ("dropout-half-rate", "src/dse/encoder.py",
      "drop1 = (rng.random((n, cfg.embed_dim)) >= p)", "drop1 = (rng.random((n, cfg.embed_dim)) >= p / 2)"),
-    ("init-by-fan-out", "src/dse/encoder.py", "bound = 1.0 / np.sqrt(shape[0])", "bound = 1.0 / np.sqrt(shape[1])"),
+    ("init-by-fan-out", "src/dse/encoder.py", "1.0 / np.sqrt(shape[0])", "1.0 / np.sqrt(shape[1])"),
+    ("init-no-last-partial-block", "src/dse/encoder.py",
+     "range(0, shape[0], _INIT_BLOCK_ROWS)", "range(0, shape[0] - _INIT_BLOCK_ROWS + 1, _INIT_BLOCK_ROWS)"),
+    ("scatter-reversed-index", "src/dse/encoder.py", "np.arange(d)", "np.arange(d)[::-1]"),
     ("space-table-no-1c", "src/dse/encoder.py", r"\x1c\x1d", r"\x1d"),
     ("pool-longer-k", "src/dse/encoder.py", "live = longer[k + 1]", "live = longer[k]"),
     ("seed-no-mask", "src/dse/encoder.py",
      "_FNV_OFFSET ^ (cfg.hash_seed & _MASK64)", "_FNV_OFFSET ^ cfg.hash_seed"),
     ("db1-mean", "src/dse/encoder.py", "db1 = dpre1.sum(axis=0)", "db1 = dpre1.mean(axis=0)"),
-    ("exp-zero-limit", "src/dse/loss.py", "_EXP_ZERO_BELOW = -746.0", "_EXP_ZERO_BELOW = -700.0"),
+    ("exp-zero-limit", "src/dse/loss.py", "_EXP_ZERO_BELOW = -708.3964185322641", "_EXP_ZERO_BELOW = -700.0"),
+    ("exp-zero-limit-old", "src/dse/loss.py", "_EXP_ZERO_BELOW = -708.3964185322641", "_EXP_ZERO_BELOW = -746.0"),
     ("rank-ties-for-gold", "src/dse/evaluation.py",
      "np.count_nonzero(sims[1:] >= sims[0])", "np.count_nonzero(sims[1:] > sims[0])"),
     ("f1-empty-label-zero", "src/dse/evaluation.py", "out=np.ones(len(den))", "out=np.zeros(len(den))"),
@@ -75,7 +79,7 @@ def main(names: list[str]) -> int:
             print(f"the unmutated copy fails {len(failed)} tests, first {failed[0]}", file=sys.stderr)
             return 1
         survivors = 0
-        print(f"{'mutant':<24} {'result':<9} {'failed':>6}  first failing test")
+        print(f"{'mutant':<28} {'result':<9} {'failed':>6}  first failing test")
         for name, rel, old, new in MUTANTS:
             if names and name not in names:
                 continue
@@ -90,7 +94,7 @@ def main(names: list[str]) -> int:
             finally:
                 path.write_text(source)
             survivors += not failed
-            print(f"{name:<24} {'killed' if failed else 'SURVIVED':<9} {len(failed):>6}  {failed[0] if failed else '-'}",
+            print(f"{name:<28} {'killed' if failed else 'SURVIVED':<9} {len(failed):>6}  {failed[0] if failed else '-'}",
                   flush=True)
     return 1 if survivors else 0
 
