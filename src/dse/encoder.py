@@ -75,8 +75,14 @@ class EncoderConfig:
 
 
 def _longest_first(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(stable order of ``sizes``, longest first; ``longer``), where ``longer[k]`` counts the sizes >= k."""
-    return np.argsort(-sizes, kind="stable"), np.cumsum(np.bincount(sizes)[::-1])[::-1]
+    """(stable order of ``sizes``, longest first; ``longer``), where ``longer[k]`` counts the sizes >= k.
+
+    The order sorts the key ``max - size`` in the narrowest unsigned type that holds it: the key
+    falls as the size grows and the sort is stable, so the order is that of ``-sizes``, and a key
+    of 16 bits or fewer takes numpy's radix sort. No sizes give an empty order."""
+    top = sizes.max(initial=0)
+    key = (top - sizes).astype(np.min_scalar_type(top))
+    return np.argsort(key, kind="stable"), np.cumsum(np.bincount(sizes)[::-1])[::-1]
 
 
 def tokenize_texts(texts: list[str], cfg: EncoderConfig) -> tuple[np.ndarray, np.ndarray]:

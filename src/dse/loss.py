@@ -21,8 +21,16 @@ Zhang et al. 2021). The weight sits inside the exponent, and it tends to
 Weights are recomputed from the current embeddings every step but are
 treated as constants during differentiation (stop-gradient); the
 finite-difference oracle in the tests freezes them identically. All
-softmax-style expressions run in 64-bit with max-subtraction, over whole
-n x n arrays in place.
+softmax-style expressions run in 64-bit with max-subtraction, in place.
+
+After its similarity matrix, each of ``compute_alpha`` and ``batch_loss`` runs
+its n x n passes one block of rows at a time, about ``_BLOCK_BYTES`` of float64
+(32 rows at n = 2048, one block at n <= 256), so a block stays in cache from
+its scaling to its gradient coefficients. This keeps every byte: each pass is
+elementwise or reduces along a row, and a row reduces the same way in a block
+as in the whole array. The loss waits for the loop and sums the full row max,
+log row sum and positive-logit vectors once, so its pairwise order is that of
+the whole-array form; a running total over the blocks would add in another order.
 
 Because alpha sits in the exponent, almost every term of the log-sum-exp
 underflows. The CPU takes a slow path wherever a result or an operand is
@@ -62,6 +70,9 @@ _EXP_ZERO_BELOW = -708.3964185322641
 
 # Side of the square tiles in which ``_add_transpose`` adds w^T to w.
 _TILE = 64
+
+# Bytes of float64 rows in one block of the row-wise n x n passes: a block stays in L2 across them.
+_BLOCK_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -132,6 +143,20 @@ def _partners(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, (rows + n // 2) % n
 
 
+def _row_blocks(n: int) -> list[tuple[slice, tuple, tuple]]:
+    """The row blocks of an n x n float64 array, each about ``_BLOCK_BYTES``, as
+    (rows, diagonal, partner): the slice of the block's rows, and the index into the
+    block of their diagonal entries and of their partner entries."""
+    rows, partners = _partners(n)
+    step = max(1, _BLOCK_BYTES // (8 * n))
+    blocks = []
+    for s in range(0, n, step):
+        e = min(s + step, n)
+        local = rows[: e - s]
+        blocks.append((slice(s, e), (local, rows[s:e]), (local, partners[s:e])))
+    return blocks
+
+
 def compute_alpha(batch: TrainBatch, cfg: LossConfig) -> np.ndarray:
     """Per-anchor negative weights, as a 2M x 2M array.
 
@@ -141,19 +166,21 @@ def compute_alpha(batch: TrainBatch, cfg: LossConfig) -> np.ndarray:
     negatives. With hard_negatives off, every weight is 1.
     """
     n = batch.embeddings.shape[0]
-    rows, partners = _partners(n)
     if not cfg.hard_negatives:
+        rows, partners = _partners(n)
         alpha = np.ones((n, n))
         alpha[rows, rows] = 0.0
         alpha[rows, partners] = 0.0
         return alpha
     alpha = sim_matrix(batch.embeddings)
-    alpha /= cfg.temperature
-    alpha[rows, rows] = -np.inf
-    alpha[rows, partners] = -np.inf
-    alpha -= alpha.max(axis=1, keepdims=True)
-    np.exp(alpha, out=alpha)
-    alpha /= alpha.sum(axis=1, keepdims=True) / (n - 2)
+    for block, diag, pos in _row_blocks(n):
+        a = alpha[block]
+        a /= cfg.temperature
+        a[diag] = -np.inf
+        a[pos] = -np.inf
+        a -= a.max(axis=1, keepdims=True)
+        np.exp(a, out=a)
+        a /= a.sum(axis=1, keepdims=True) / (n - 2)
     return alpha
 
 
@@ -171,47 +198,53 @@ def batch_loss(
     Raises FloatingPointError when the loss is not finite.
     """
     n = batch.embeddings.shape[0]
+    if alphas is not None and alphas.shape != (n, n):
+        raise ValueError(f"alphas has shape {alphas.shape}; a batch of {n} rows needs {(n, n)}")
     tau = cfg.temperature
     rows, partners = _partners(n)
     sims = sim_matrix(batch.embeddings)
     if alphas is None:
         alphas = compute_alpha(batch, cfg)
 
-    # Row a of w (the sims array) holds anchor a's logits: alpha * s / tau at
-    # the negatives, s / tau at the positive and -inf at a itself. The log-sum-exp
+    # Row a of w (a block of the sims array) holds anchor a's logits: alpha * s / tau
+    # at the negatives, s / tau at the positive and -inf at a itself. The log-sum-exp
     # then overwrites it with exp(logit - row max); the mask must be ``w < limit``,
     # so that a NaN is still sent through exp and makes the loss non-finite.
+    # With the gradient, w then becomes dL/d sims[a, j], in place: the softmax share
+    # of term j, times alpha_aj at a negative and minus 1 at the positive, over n tau
+    # for the mean.
     z_pos = sims[rows, partners] / tau
-    w = np.multiply(alphas, sims, out=sims)
-    w /= tau
-    w[rows, partners] = z_pos
-    w[rows, rows] = -np.inf
-    row_max = w.max(axis=1)
-    w -= row_max[:, None]
-    dead = w < _EXP_ZERO_BELOW
-    np.exp(w, out=w, where=~dead)
-    np.copyto(w, 0.0, where=dead)
-    row_sum = w.sum(axis=1)
+    row_max, row_sum = np.empty(n), np.empty(n)
+    for block, diag, pos in _row_blocks(n):
+        w = np.multiply(alphas[block], sims[block], out=sims[block])
+        w /= tau
+        w[pos] = z_pos[block]
+        w[diag] = -np.inf
+        w.max(axis=1, out=row_max[block])
+        w -= row_max[block, None]
+        dead = w < _EXP_ZERO_BELOW
+        np.exp(w, out=w, where=~dead)
+        np.copyto(w, 0.0, where=dead)
+        w.sum(axis=1, out=row_sum[block])
+        if with_grad:
+            w /= row_sum[block, None]
+            q_pos = w[pos] - 1.0
+            w *= alphas[block]
+            w[pos] = q_pos
+            w /= n * tau
     loss = float((row_max + np.log(row_sum) - z_pos).sum()) / n
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite batch loss")
     if not with_grad:
         return loss, None
 
-    # dL/d sims[a, j], in place: the softmax share of term j, times alpha_aj
-    # at a negative and minus 1 at the positive, over n tau for the mean.
-    w /= row_sum[:, None]
-    q_pos = w[rows, partners] - 1.0
-    w *= alphas
-    w[rows, partners] = q_pos
-    w /= n * tau
     del alphas  # frees a computed weight array: each n x n array is 32 MiB at batch 1024
     # Chain through cosine: with unit rows u_a, s_ab = u_a . u_b and
     # d s_ab / d e_a = (u_b - s_ab u_a) / ||e_a||: G_a's part orthogonal to u_a.
     X = batch.embeddings.astype(np.float64)
     norms = np.maximum(np.linalg.norm(X, axis=1, keepdims=True), EPS_NORM)
     U = X / norms
-    G = _add_transpose(w) @ U
+    G = _add_transpose(sims) @ U
     grad = (G - np.vecdot(U, G)[:, None] * U) / norms
     return loss, grad
 

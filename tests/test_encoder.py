@@ -314,6 +314,8 @@ class TestTokenizerOracle:
     @example([], 0, 8)
     @example(["", "[SeP] a\U0001F600b [usr]x", "   "], -1, 8)
     @example(["[SYS] hello"], 2**64 + 5, 30000)
+    @example([" \t", ""], 0, 30000)  # no words
+    @example(["ab " + "y" * 5000 + " " + "x" * 70000], 7, 30000)  # a 16-bit key wraps 69998 below 65000
     def test_ids_and_lengths_equal_the_oracle(self, texts, hash_seed, vocab_size):
         cfg = EncoderConfig(vocab_size=vocab_size, hash_seed=hash_seed)
         ids, lengths = tokenize_texts(texts, cfg)

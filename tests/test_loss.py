@@ -1,5 +1,8 @@
+import itertools
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,9 +15,11 @@ from dse.loss import (
     compute_alpha,
     cosines,
     sim_matrix,
+    _BLOCK_BYTES,
     _EXP_ZERO_BELOW,
     _add_transpose,
     _partners,
+    _row_blocks,
 )
 from oracles import _negative_mask, cosine_sim, ntxent_reference
 
@@ -305,6 +310,13 @@ class TestBatchLoss:
         with pytest.raises(ValueError):
             TrainBatch(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("shape", [(6,), (1, 6), (6, 1)])
+    def test_misshaped_frozen_alphas_rejected(self, shape):
+        # each of these would broadcast across the rows of the 6 x 6 logits
+        b = random_batch(np.random.default_rng(13))
+        with pytest.raises(ValueError, match=rf"{re.escape(str(shape))}.*\(6, 6\)"):
+            batch_loss(b, LossConfig(), alphas=np.ones(shape), with_grad=True)
+
     def test_embedding_gradient_fd(self):
         rng = np.random.default_rng(8)
         b = random_batch(rng, M=3, dim=4)
@@ -401,6 +413,41 @@ class TestAgainstReference:
         cfg = LossConfig()
         assert (exp_inputs(emb, cfg) < _EXP_ZERO_BELOW).mean() > 0.99
         self.assert_equal_to_reference(emb, cfg)
+
+    # The first even n from 4 isqrt(_BLOCK_BYTES / 8) + 6 up whose last row block is ragged, so it
+    # spans about 16 blocks: at 512 KiB, 1030 rows in 16 blocks of 63 and one of 22.
+    MULTI_BLOCK_N = next(n for n in itertools.count(4 * math.isqrt(_BLOCK_BYTES // 8) + 6, 2)
+                         if n % _row_blocks(n)[0][0].stop)
+
+    def test_block_counts(self):
+        assert len(_row_blocks(256)) == 1
+        assert len(_row_blocks(2048)) > 1
+        blocks = _row_blocks(self.MULTI_BLOCK_N)
+        sizes = [b.stop - b.start for b, _, _ in blocks]
+        assert len(blocks) >= 3 and sizes[-1] < sizes[0]
+        assert blocks[0][0].start == 0 and blocks[-1][0].stop == self.MULTI_BLOCK_N
+        assert all(a[0].stop == b[0].start for a, b in itertools.pairwise(blocks))
+
+    @pytest.mark.parametrize("hard", [True, False])
+    def test_many_row_blocks(self, hard):
+        n = self.MULTI_BLOCK_N
+        rng = np.random.default_rng(n + hard)
+        emb = rng.normal(size=(n, 24))
+        cfg = LossConfig(hard_negatives=hard)
+        self.assert_equal_to_reference(emb, cfg)
+        alphas = rng.uniform(0.0, n - 2, size=(n, n)) * _negative_mask(n)
+        self.assert_equal_to_reference(emb, cfg, alphas)
+        assert compute_alpha(TrainBatch(emb), cfg).tobytes() == reference_alpha(emb, cfg).tobytes()
+
+    @pytest.mark.parametrize("with_grad", [True, False])
+    def test_nan_row_in_the_last_block_raises_without_a_warning(self, with_grad):
+        n = self.MULTI_BLOCK_N
+        emb = np.random.default_rng(25).normal(size=(n, 8))
+        emb[n - 2] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError):
+                batch_loss(TrainBatch(emb), LossConfig(), with_grad=with_grad)
 
     def test_exp_inputs_in_the_subnormal_band(self):
         # In 3 dimensions the cosines spread over [-1, 1]; at tau = 2/752 the logits

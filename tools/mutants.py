@@ -47,6 +47,10 @@ MUTANTS = [
     ("seed-no-mask", "src/dse/encoder.py",
      "_FNV_OFFSET ^ (cfg.hash_seed & _MASK64)", "_FNV_OFFSET ^ cfg.hash_seed"),
     ("db1-mean", "src/dse/encoder.py", "db1 = dpre1.sum(axis=0)", "db1 = dpre1.mean(axis=0)"),
+    ("longest-first-no-offset", "src/dse/encoder.py", "key = (top - sizes).astype(", "key = sizes.astype("),
+    ("longest-first-16-bit-key", "src/dse/encoder.py", "np.min_scalar_type(top)", "np.uint16"),
+    ("row-block-drops-last-row", "src/dse/loss.py", "e = min(s + step, n)", "e = min(s + step - 1, n)"),
+    ("row-block-partner-is-row", "src/dse/loss.py", "(local, partners[s:e])", "(local, rows[s:e])"),
     ("exp-zero-limit", "src/dse/loss.py", "_EXP_ZERO_BELOW = -708.3964185322641", "_EXP_ZERO_BELOW = -700.0"),
     ("exp-zero-limit-old", "src/dse/loss.py", "_EXP_ZERO_BELOW = -708.3964185322641", "_EXP_ZERO_BELOW = -746.0"),
     ("rank-ties-for-gold", "src/dse/evaluation.py",
