@@ -129,7 +129,7 @@ def take_texts(ids: np.ndarray, lengths: np.ndarray, rows: np.ndarray) -> tuple[
 @dataclass
 class EncoderModel:
     config: EncoderConfig
-    E: np.ndarray   # vocab_size x d; in a training step, live rows x d
+    E: np.ndarray   # vocab_size x d; in training and in a checkpoint, the live rows x d
     W1: np.ndarray  # d x head_hidden
     b1: np.ndarray  # head_hidden
     W2: np.ndarray  # head_hidden x head_out
@@ -166,33 +166,55 @@ def param_shapes(cfg: EncoderConfig) -> dict[str, tuple[int, ...]]:
     }
 
 
-def _draw_uniform(rng: np.random.Generator, shape: tuple[int, int], bound: float) -> np.ndarray:
-    """``rng.uniform(-bound, bound, shape).astype(np.float32)``, the same stream and bytes, drawn
-    ``_INIT_BLOCK_ROWS`` rows at a time into one reused float64 buffer.
+def _draw_uniform(bitgen: np.random.PCG64, shape: tuple[int, int], bound: float,
+                  rows: np.ndarray | None = None) -> np.ndarray:
+    """Rows ``rows`` (strictly increasing; every row when None) of
+    ``Generator(bitgen).uniform(-bound, bound, shape).astype(np.float32)``: the same stream and bytes.
 
-    uniform computes low + (high - low) * random(); the blocks take the same steps in place."""
-    out = np.empty(shape, np.float32)
-    buf = np.empty((min(shape[0], _INIT_BLOCK_ROWS), shape[1]))
-    for start in range(0, shape[0], _INIT_BLOCK_ROWS):
-        block = buf[: min(_INIT_BLOCK_ROWS, shape[0] - start)]
-        rng.random(out=block)
+    ``random`` takes one 64-bit output per float64, so row r of the matrix is outputs r·d to
+    r·d + d - 1: each run of consecutive rows is drawn after advancing ``bitgen`` to it (PCG64's
+    jump-ahead), ``_INIT_BLOCK_ROWS`` rows at a time into one reused float64 buffer. The block is
+    scaled as uniform does (low + (high - low) * random()), and the float64 sum is cast into the
+    float32 output. ``bitgen`` is left past the whole matrix, where the full draw leaves it."""
+    n, d = shape
+    rows = np.arange(n) if rows is None else rows
+    gen = np.random.Generator(bitgen)
+    out = np.empty((len(rows), d), np.float32)
+    buf = np.empty((min(len(rows), _INIT_BLOCK_ROWS), d))
+    done = 0  # rows of the matrix that bitgen has passed
+    for start in range(0, len(rows), _INIT_BLOCK_ROWS):
+        part = rows[start : start + _INIT_BLOCK_ROWS]
+        block = buf[: len(part)]
+        edges = [0, *(np.flatnonzero(np.diff(part) != 1) + 1).tolist(), len(part)]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            bitgen.advance((int(part[lo]) - done) * d)
+            gen.random(out=block[lo:hi])
+            done = int(part[hi - 1]) + 1
         block *= bound - -bound
-        block += -bound
-        out[start : start + len(block)] = block
+        np.add(block, -bound, out=out[start : start + len(part)], casting="same_kind")
+    bitgen.advance((n - done) * d)
     return out
 
 
-def init_model(cfg: EncoderConfig, seed: int) -> EncoderModel:
+def init_model(cfg: EncoderConfig, seed: int, rows: np.ndarray | None = None) -> EncoderModel:
     """Float32 uniform init on [-1/sqrt(fan_in), 1/sqrt(fan_in)] per matrix; zero biases.
 
-    fan_in is a matrix's row count; E, W1 and W2 draw from one generator in that order, each in
-    row blocks, so no float64 copy of the whole table is made (``_draw_uniform``)."""
-    rng = np.random.default_rng(seed)
-    def draw(shape: tuple[int, ...]) -> np.ndarray:
+    fan_in is a matrix's row count; E, W1 and W2 draw in that order from one stream, that of
+    ``np.random.default_rng(seed)``. With ``rows`` (strictly increasing row ids), E holds those
+    rows of the full table only, and W1 and W2 are the same bytes: the stream skips the rest
+    of E (``_draw_uniform``)."""
+    bitgen = np.random.PCG64(seed)
+    def draw(shape: tuple[int, ...], rows: np.ndarray | None = None) -> np.ndarray:
         if len(shape) == 1:
             return np.zeros(shape, np.float32)
-        return _draw_uniform(rng, shape, 1.0 / np.sqrt(shape[0]))
-    return EncoderModel(cfg, *(draw(shape) for shape in param_shapes(cfg).values()))
+        return _draw_uniform(bitgen, shape, 1.0 / np.sqrt(shape[0]), rows)
+    return EncoderModel(cfg, *(draw(shape, rows if name == "E" else None) for name, shape in param_shapes(cfg).items()))
+
+
+def init_table(cfg: EncoderConfig, seed: int) -> np.ndarray:
+    """``init_model(cfg, seed).E``, the whole table, without drawing the head after it."""
+    n = cfg.vocab_size
+    return _draw_uniform(np.random.PCG64(seed), (n, cfg.embed_dim), 1.0 / np.sqrt(n))
 
 
 def forward_eval(model: EncoderModel, ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -3,16 +3,21 @@
 Two learning-rate groups: the embedding table trains at lr_backbone, the
 contrastive head at lr_head.
 
-Each run trains a compact table of the live rows of the embedding table
-``E`` (the rows some training text hashes to) and writes it back into the
-full table at every epoch end, so a step costs what the corpus uses, not
-``vocab_size``. The full checkpoint still equals a dense run byte for byte: a
-dead row never gets a gradient, so it keeps its init bytes and its moments
-stay +0.0.
+A run trains only the live rows of the embedding table ``E``: the rows some
+training text hashes to, a few hundred of the ``vocab_size`` rows. ``train``
+draws just those rows of the init table (``init_model`` with ``rows``), and a
+step costs what the corpus uses, not ``vocab_size``. A dead row never gets a
+gradient, so it keeps its init bytes and its Adam moments stay +0.0. The
+trained state is therefore the compact model, the sorted live row ids and the
+init seed: ``Checkpoint.model``, the dense model, is the init table of that
+seed with the live rows written over it, byte for byte what a dense run gives.
 
-Checkpoints serialize to a versioned binary format (magic "DSECKPT1", UTF-8
-key=value header, raw little-endian f32 arrays in fixed order, 8-byte length
-footer) whose save/load/save roundtrip is byte-identical.
+Checkpoints serialize to a versioned binary format: magic "DSECKPT2", UTF-8
+key=value header (the encoder config, epoch, adam_t, config_digest, init_seed,
+live_rows), then the live row ids as little-endian int64, the compact
+parameters, Adam m and Adam v as little-endian f32 arrays in fixed order
+(``E`` at live_rows x embed_dim), and an 8-byte payload length footer. A
+save/load/save roundtrip is byte-identical.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import os
 import struct
 import typing
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +38,7 @@ from .encoder import (
     EncoderModel,
     forward_train,
     init_model,
+    init_table,
     param_shapes,
     take_texts,
     tokenize_texts,
@@ -39,7 +46,8 @@ from .encoder import (
 from .loss import LossConfig, TrainBatch, batch_loss_and_grad
 from .pairs import TrainPair
 
-CHECKPOINT_MAGIC = b"DSECKPT1\n"
+CHECKPOINT_MAGIC = b"DSECKPT2\n"
+_OLD_MAGIC = b"DSECKPT1\n"  # the layout that stored the whole table
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -102,10 +110,28 @@ class AdamState:
 
 @dataclass
 class Checkpoint:
-    model: EncoderModel
-    adam: AdamState
+    """The trained state: the live rows of ``E`` and the head, their Adam moments, and the init seed.
+
+    ``compact.E`` and the moments' ``E`` hold row ``rows[i]`` of the full table at index i."""
+
+    compact: EncoderModel
+    rows: np.ndarray  # the live row ids, strictly increasing
+    init_seed: int
+    adam: AdamState   # moments of ``compact``
     epoch: int
     config_digest: str
+
+    @cached_property
+    def model(self) -> EncoderModel:
+        """The dense model: the init table of ``init_seed`` with the live rows written over it.
+
+        Drawn on first use; its head arrays are ``compact``'s."""
+        return self._expand(init_table(self.compact.config, self.init_seed))
+
+    def _expand(self, table: np.ndarray) -> EncoderModel:
+        """The dense model on ``table``, a table with the init bytes on every dead row, written in place."""
+        table[self.rows] = self.compact.E
+        return replace(self.compact, E=table)
 
 
 @dataclass
@@ -176,9 +202,9 @@ def train(
     the train view as one array of 2M rows (fresh dropout masks from one
     generator seeded with (dropout_seed, epoch, step)), computes the
     symmetrized loss, backpropagates it once to exact gradients, and applies
-    Adam. Hooks fire once after each epoch with the current Checkpoint.
+    Adam. Hooks fire once after each epoch with that epoch's Checkpoint,
+    which later steps leave as it is.
     """
-    model = init_model(encoder_cfg, train_cfg.init_seed)
     # Consecutive pairs share texts (a response is the next pair's query):
     # each distinct text is tokenized once. Row 0 of pair_rows holds each
     # pair's query text, row 1 its response text.
@@ -188,13 +214,12 @@ def train(
     live_rows, slots = np.unique(ids, return_inverse=True)
 
     # Steps run on ``compact``, whose E holds the live rows (token ids become
-    # slots) and whose head arrays and head moments are the full ones. It keeps
-    # the run's EncoderConfig, of which it uses only the names (param_shapes),
-    # and never leaves this function.
-    compact = replace(model, E=model.E[live_rows])
+    # slots). It keeps the run's EncoderConfig, of which it uses only the names
+    # (param_shapes).
+    compact = init_model(encoder_cfg, train_cfg.init_seed, rows=live_rows)
     adam = init_adam_state(compact)
-    full_m, full_v = (replace(s, E=np.zeros(model.E.shape, model.E.dtype)) for s in (adam.m, adam.v))  # calloc
     epoch_losses: list[float] = []
+    ckpt: Checkpoint | None = None
     for epoch in range(train_cfg.epochs):
         losses = []
         for step, batch_idx in enumerate(make_batches(pairs, train_cfg, epoch)):
@@ -204,17 +229,23 @@ def train(
             adam_step(compact, grads, adam, train_cfg)
             losses.append(loss_value)
         epoch_losses.append(float(np.mean(losses)))
-        for full, part in ((model, compact), (full_m, adam.m), (full_v, adam.v)):
-            full.E[live_rows] = part.E
-        ckpt = Checkpoint(model=model, adam=AdamState(m=full_m, v=full_v, t=adam.t), epoch=epoch + 1,
-                          config_digest=train_cfg.digest())
+        # Copies, a few KiB: a checkpoint a hook keeps does not change with later steps.
+        last, ckpt = ckpt, Checkpoint(compact=compact.map(np.copy), rows=live_rows, init_seed=train_cfg.init_seed,
+                          adam=AdamState(m=adam.m.map(np.copy), v=adam.v.map(np.copy), t=adam.t),
+                          epoch=epoch + 1, config_digest=train_cfg.digest())
+        if last is not None and "model" in vars(last):
+            # A hook expanded the last epoch's model, whose dead rows hold the init bytes: copy
+            # them rather than draw the table again.
+            ckpt.model = ckpt._expand(last.model.E.copy())
         for hook in hooks or []:
             hook(ckpt, epoch_losses)
     return TrainResult(checkpoint=ckpt, epoch_losses=epoch_losses)
 
 
-# Checkpoint header fields and their types: the encoder config, then the training position.
-_HEADER_TYPES = {**typing.get_type_hints(EncoderConfig), "epoch": int, "adam_t": int, "config_digest": str}
+# Checkpoint header fields and their types: the encoder config, the training position, the init
+# table's seed and the number of live rows.
+_HEADER_TYPES = {**typing.get_type_hints(EncoderConfig), "epoch": int, "adam_t": int, "config_digest": str,
+                 "init_seed": int, "live_rows": int}
 _ARRAY_GROUPS = ("parameter", "adam m", "adam v")
 
 
@@ -223,11 +254,13 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
     A write that fails part-way leaves any earlier file at ``path`` as it was.
     """
-    cfg = ckpt.model.config
+    cfg = ckpt.compact.config
     header = {f.name: getattr(cfg, f.name) for f in fields(EncoderConfig)}
-    header.update(epoch=ckpt.epoch, adam_t=ckpt.adam.t, config_digest=ckpt.config_digest)
-    arrays = [np.ascontiguousarray(p, dtype="<f4")
-              for group in (ckpt.model, ckpt.adam.m, ckpt.adam.v) for _, p in group.param_items()]
+    header.update(epoch=ckpt.epoch, adam_t=ckpt.adam.t, config_digest=ckpt.config_digest,
+                  init_seed=ckpt.init_seed, live_rows=len(ckpt.rows))
+    arrays = [np.ascontiguousarray(ckpt.rows, dtype="<i8")]
+    arrays += [np.ascontiguousarray(p, dtype="<f4")
+               for group in (ckpt.compact, ckpt.adam.m, ckpt.adam.v) for _, p in group.param_items()]
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -246,16 +279,23 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint, each array straight from the file into its own buffer.
+    """Read a checkpoint, each array straight from the file into its own buffer, and expand its dense model.
 
     No second copy of the payload is made, and each array can be freed on its
-    own: a caller that keeps only the model does not keep the Adam moments.
+    own. The header must account for the payload's length exactly before any
+    array is read, so the file backs every array read from it. The dense
+    table is sized by the header's vocab_size and embed_dim, which the file
+    does not bound: a table numpy refuses to allocate is a CheckpointError,
+    but one the system overcommits is allocated and drawn in full.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         head = bytearray(fh.read(len(CHECKPOINT_MAGIC)))
+        if head == _OLD_MAGIC:
+            raise CheckpointError("DSECKPT1 checkpoint: the format changed to DSECKPT2, "
+                                  "which stores the init seed and the live embedding rows; train again to write one")
         if head != CHECKPOINT_MAGIC:
-            raise CheckpointError("bad magic: not a DSECKPT1 checkpoint")
+            raise CheckpointError("bad magic: not a DSECKPT2 checkpoint")
         sep = -1
         while sep < 0 and (chunk := fh.read(4096)):
             start = max(len(CHECKPOINT_MAGIC), len(head) - 1)
@@ -279,7 +319,7 @@ def load_checkpoint(path) -> Checkpoint:
                 key, _, value = line.partition("=")
                 header[key] = value
             values = {key: parse_value(key, typ, header[key]) for key, typ in _HEADER_TYPES.items()}
-            for key in ("epoch", "adam_t"):
+            for key in ("epoch", "adam_t", "init_seed", "live_rows"):
                 if values[key] < 0:
                     raise ValueError(f"{key} must be >= 0, got {values[key]}")
             cfg = EncoderConfig(**{f.name: values[f.name] for f in fields(EncoderConfig)})
@@ -288,26 +328,45 @@ def load_checkpoint(path) -> Checkpoint:
         except ValueError as exc:
             raise CheckpointError(f"checkpoint header: {exc}") from exc
 
-        offset = 0
+        live = values["live_rows"]
+        shapes = {**param_shapes(cfg), "E": (live, cfg.embed_dim)}  # in EncoderModel's field order
+        need = 8 * live + 4 * len(_ARRAY_GROUPS) * sum(math.prod(shape) for shape in shapes.values())
+        if payload_len != need:
+            what = ("truncated checkpoint: array payload too short" if payload_len < need
+                    else "checkpoint payload longer than expected")
+            raise CheckpointError(f"{what}: {payload_len} bytes, where live_rows={live} needs {need}")
+
+        def read(shape: tuple[int, ...], dtype: str) -> np.ndarray:
+            a = np.empty(shape, dtype=dtype)
+            if fh.readinto(a) != a.nbytes:  # the file shrank while it was read
+                raise CheckpointError("truncated checkpoint: array payload too short")
+            return a
+
         fh.seek(sep + 2)
+        rows = read((live,), "<i8")
+        if len(down := np.flatnonzero(rows[1:] <= rows[:-1])):
+            i = down[0] + 1
+            raise CheckpointError(f"checkpoint rows: not strictly increasing at index {i} ({rows[i - 1]}, {rows[i]})")
+        if live and not (0 <= rows[0] and rows[-1] < cfg.vocab_size):
+            bad = rows[0] if rows[0] < 0 else rows[-1]
+            raise CheckpointError(f"checkpoint rows: row {bad} outside [0, vocab_size={cfg.vocab_size})")
         groups: list[EncoderModel] = []
         for group_name in _ARRAY_GROUPS:
-            arrays = []  # in param_shapes order, which is EncoderModel's field order
-            for name, shape in param_shapes(cfg).items():
-                nbytes = 4 * math.prod(shape)
-                if offset + nbytes > payload_len:  # checked first: the header alone sets the shape
-                    raise CheckpointError("truncated checkpoint: array payload too short")
-                a = np.empty(shape, dtype="<f4")
-                if fh.readinto(a) != nbytes:  # the file shrank while it was read
-                    raise CheckpointError("truncated checkpoint: array payload too short")
+            arrays = []
+            for name, shape in shapes.items():
+                a = read(shape, "<f4")
                 if not np.all(np.isfinite(a)):
                     raise CheckpointError(f"non-finite values in {group_name} array {name!r}")
                 arrays.append(a)
-                offset += nbytes
             groups.append(EncoderModel(cfg, *arrays))
-    if offset != payload_len:
-        raise CheckpointError("checkpoint payload longer than expected")
 
-    model, m, v = groups
-    return Checkpoint(model=model, adam=AdamState(m=m, v=v, t=values["adam_t"]), epoch=values["epoch"],
+    compact, m, v = groups
+    ckpt = Checkpoint(compact=compact, rows=rows, init_seed=values["init_seed"],
+                      adam=AdamState(m=m, v=v, t=values["adam_t"]), epoch=values["epoch"],
                       config_digest=values["config_digest"])
+    try:
+        ckpt.model  # expanded here, so a load's time and memory include the init draw
+    except MemoryError:  # the file no longer bounds vocab_size, which sizes the dense table
+        raise CheckpointError(f"checkpoint header: vocab_size={cfg.vocab_size} makes a dense table "
+                              "too large to allocate") from None
+    return ckpt

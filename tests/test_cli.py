@@ -4,6 +4,7 @@ import shlex
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dse.cli import RUN_DEFAULTS, RunConfig, build_parser, main, run_epoch_study
@@ -328,6 +329,41 @@ class TestCommandPlumbing:
         code, _, err = run(["embed", "--ckpt", str(ckpt), "--in", str(texts), "--out", str(emb)], capsys)
         assert code == 1
         assert err == f"error: {texts}: line 3: invalid UTF-8 byte 0xff (invalid start byte)\n"
+        assert not emb.exists()
+
+    @pytest.mark.parametrize("fault, message", [
+        ("rows repeat", "checkpoint rows: not strictly increasing at index 1 "),
+        ("row out of range", r"checkpoint rows: row 500 outside \[0, vocab_size=500\)"),
+        ("live_rows too large",
+         "truncated checkpoint: array payload too short: [0-9]+ bytes, where live_rows=[0-9]+ needs"),
+        ("negative init_seed", "checkpoint header: init_seed must be >= 0, got -1"),
+        ("old format", "DSECKPT1 checkpoint: the format changed to DSECKPT2"),
+    ])
+    def test_embed_on_bad_checkpoint_is_one_error_line(self, tmp_path, trained, capsys, fault, message):
+        _, ckpt = trained
+        data = ckpt.read_bytes()
+        end = data.index(b"\n\n")
+        header, body = data[:end], bytearray(data[end:])
+        live = int(re.search(rb"\nlive_rows=([0-9]+)", header).group(1))
+        rows = np.frombuffer(body, "<i8", live, 2)
+        if fault == "rows repeat":
+            rows[1] = rows[0]
+        elif fault == "row out of range":
+            rows[-1] = 500  # SMALL_FLAGS' vocab size
+        elif fault == "live_rows too large":
+            header = header.replace(b"live_rows=%d" % live, b"live_rows=%d" % (live + 1))
+        elif fault == "negative init_seed":
+            header = header.replace(b"\ninit_seed=0\n", b"\ninit_seed=-1\n")
+        else:
+            header = b"DSECKPT1\n" + header[len(b"DSECKPT2\n"):]
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(header + body)
+        emb = tmp_path / "emb.txt"
+        texts = tmp_path / "texts.txt"
+        texts.write_text("hello world\n")
+        code, stdout, err = run(["embed", "--ckpt", str(bad), "--in", str(texts), "--out", str(emb)], capsys)
+        assert (code, stdout) == (1, "")
+        assert re.fullmatch(f"error: {message}.*\n", err)
         assert not emb.exists()
 
     def test_inspect_input_not_utf8(self, tmp_path, capsys):

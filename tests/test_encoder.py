@@ -12,6 +12,7 @@ from dse.encoder import (
     embed_texts,
     forward_eval,
     forward_train,
+    init_table,
     init_model,
     param_shapes,
     take_texts,
@@ -78,13 +79,42 @@ class TestInit:
     @pytest.mark.parametrize("rows", [1, _INIT_BLOCK_ROWS - 1, _INIT_BLOCK_ROWS, _INIT_BLOCK_ROWS + 1, 30000])
     def test_block_draw_is_the_whole_draw_byte_for_byte(self, rows):
         bound = 1.0 / np.sqrt(rows)
-        got_rng, want_rng = np.random.default_rng(rows), np.random.default_rng(rows)
-        got = _draw_uniform(got_rng, (rows, 64), bound)
+        got_bitgen, want_rng = np.random.PCG64(rows), np.random.default_rng(rows)
+        got = _draw_uniform(got_bitgen, (rows, 64), bound)
         want = want_rng.uniform(-bound, bound, size=(rows, 64)).astype(np.float32)
         assert got.dtype == np.float32 and got.shape == (rows, 64)
         assert got.tobytes() == want.tobytes()
         # The generator is left where the whole draw leaves it.
-        assert got_rng.random(5).tobytes() == want_rng.random(5).tobytes()
+        assert np.random.Generator(got_bitgen).random(5).tobytes() == want_rng.random(5).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sets(st.integers(0, 2 * _INIT_BLOCK_ROWS + 40), max_size=2 * _INIT_BLOCK_ROWS + 41), st.integers(0, 3))
+    @example(set(), 0)
+    @example(set(range(2 * _INIT_BLOCK_ROWS + 41)), 1)  # every row: one run over three blocks
+    @example({0, 1, _INIT_BLOCK_ROWS + 5, 2 * _INIT_BLOCK_ROWS + 40}, 2)  # the first and the last row
+    def test_live_rows_are_those_rows_of_the_whole_draw(self, live, seed):
+        n, d = 2 * _INIT_BLOCK_ROWS + 41, 5
+        rows = np.array(sorted(live), dtype=np.intp)
+        got_bitgen, want_rng = np.random.PCG64(seed), np.random.default_rng(seed)
+        got = _draw_uniform(got_bitgen, (n, d), 0.25, rows)
+        want = want_rng.uniform(-0.25, 0.25, size=(n, d)).astype(np.float32)
+        assert got.dtype == np.float32 and got.shape == (len(rows), d)
+        assert got.tobytes() == want[rows].tobytes()
+        assert np.random.Generator(got_bitgen).random(5).tobytes() == want_rng.random(5).tobytes()
+
+    def test_init_of_live_rows_is_the_full_init_at_those_rows(self):
+        cfg = EncoderConfig(vocab_size=3000, embed_dim=16, head_hidden=12, head_out=10)
+        rows = np.array([0, 3, 4, 5, 1023, 1024, 2999])
+        full, live = init_model(cfg, seed=4), init_model(cfg, seed=4, rows=rows)
+        assert live.E.tobytes() == full.E[rows].tobytes()
+        assert init_table(cfg, seed=4).tobytes() == full.E.tobytes()
+        for (name, a), (_, b) in zip(live.param_items()[1:], full.param_items()[1:]):
+            assert a.tobytes() == b.tobytes(), name
+        want = np.random.default_rng(4)  # the stream of default_rng(seed), one matrix after another
+        for name in ("E", "W1", "W2"):
+            p = getattr(full, name)
+            bound = 1.0 / np.sqrt(p.shape[0])
+            assert p.tobytes() == want.uniform(-bound, bound, p.shape).astype(np.float32).tobytes(), name
 
     def test_bad_dims(self):
         with pytest.raises(ValueError):

@@ -37,6 +37,15 @@ def state_bytes(model, state):
     return [p.tobytes() for s in (model, state.m, state.v) for _, p in s.param_items()]
 
 
+def dense_moments(ckpt):
+    """The checkpoint's Adam moments on the full table: +0.0 outside ``ckpt.rows``."""
+    def expand(moments):
+        E = np.zeros((moments.config.vocab_size, moments.config.embed_dim), np.float32)
+        E[ckpt.rows] = moments.E
+        return replace(moments, E=E)
+    return AdamState(m=expand(ckpt.adam.m), v=expand(ckpt.adam.v), t=ckpt.adam.t)
+
+
 def make_pairs(n):
     return [
         TrainPair(query=f"query number {i} text here", response=f"response number {i} text here")
@@ -204,7 +213,7 @@ class TestTrain:
         _, grads = batch_loss_and_grad(model, TrainBatch(emb), LossConfig(), tape)
         adam_step(model, grads, state, cfg)
         assert got.adam.t == state.t == 1
-        assert state_bytes(got.model, got.adam) == state_bytes(model, state)
+        assert state_bytes(got.model, dense_moments(got)) == state_bytes(model, state)
 
     def test_dropout_masks_differ_between_epochs(self, monkeypatch):
         masks = []
@@ -247,8 +256,10 @@ class TestTrain:
         ckpt = train(pairs, ENC, LossConfig(), TrainConfig(batch_size=4, epochs=2)).checkpoint
         ids, _ = tokenize_texts([text for p in pairs for text in (p.query, p.response)], ENC)
         assert shapes == [(len(np.unique(ids)), ENC.embed_dim)] * 6
-        for group in (ckpt.model, ckpt.adam.m, ckpt.adam.v):  # the full structures leave train
-            assert group.E.shape == (ENC.vocab_size, ENC.embed_dim)
+        assert ckpt.rows.tolist() == np.unique(ids).tolist()
+        for group in (ckpt.compact, ckpt.adam.m, ckpt.adam.v):  # the compact structures leave train
+            assert group.E.shape == (len(ckpt.rows), ENC.embed_dim)
+        assert ckpt.model.E.shape == (ENC.vocab_size, ENC.embed_dim)  # the dense model is a view of them
 
     def test_one_step_per_epoch(self):
         pairs = make_pairs(8)
@@ -271,11 +282,12 @@ class TestTrain:
         used = set(tokenize_texts([text for p in pairs for text in (p.query, p.response)], ENC)[0].tolist())
         dead = sorted(set(range(ENC.vocab_size)) - used)
         init = init_model(ENC, cfg.init_seed)
-        zeros = bytes(ckpt.adam.m.E[dead].nbytes)
+        adam = dense_moments(ckpt)
+        zeros = bytes(adam.m.E[dead].nbytes)
         assert ckpt.model.E[dead].tobytes() == init.E[dead].tobytes()
-        assert ckpt.adam.m.E[dead].tobytes() == zeros and ckpt.adam.v.E[dead].tobytes() == zeros
+        assert adam.m.E[dead].tobytes() == zeros and adam.v.E[dead].tobytes() == zeros
         assert not np.array_equal(ckpt.model.E[sorted(used)], init.E[sorted(used)])
-        assert ckpt.adam.v.E[sorted(used)].any(axis=1).all()  # every row a text hashes to was updated
+        assert adam.v.E[sorted(used)].any(axis=1).all()  # every row a text hashes to was updated
 
     def test_hooks_fire_per_epoch(self):
         pairs = make_pairs(8)
@@ -283,6 +295,37 @@ class TestTrain:
         epochs_seen = []
         train(pairs, ENC, LossConfig(), cfg, hooks=[lambda c, losses: epochs_seen.append(c.epoch)])
         assert epochs_seen == [1, 2, 3]
+
+    def test_kept_hook_checkpoints_are_snapshots(self, tmp_path):
+        kept, saved_in_hook, dense_in_hook = [], [], []
+
+        def hook(ckpt, losses):
+            path = tmp_path / "in_hook.ckpt"
+            save_checkpoint(ckpt, path)
+            saved_in_hook.append(path.read_bytes())
+            dense_in_hook.append(ckpt.model.E.tobytes())  # from epoch 2 on, expanded from the last epoch's
+            kept.append(ckpt)
+        train(make_pairs(12), ENC, LossConfig(), TrainConfig(batch_size=4, epochs=3), hooks=[hook])
+        assert len({id(c.compact) for c in kept}) == len({id(c.model.E) for c in kept}) == 3
+        for ckpt, want, want_dense in zip(kept, saved_in_hook, dense_in_hook):
+            path = tmp_path / "after.ckpt"
+            save_checkpoint(ckpt, path)
+            assert path.read_bytes() == want, f"epoch {ckpt.epoch}"
+            E = init_model(ENC, ckpt.init_seed).E
+            E[ckpt.rows] = ckpt.compact.E
+            assert ckpt.model.E.tobytes() == want_dense == E.tobytes(), f"epoch {ckpt.epoch}"
+
+    def test_no_vocabulary_sized_allocation(self):
+        enc = EncoderConfig(vocab_size=200_000)
+        dense_table = enc.vocab_size * enc.embed_dim * 4  # 51.2 MB of float32
+        tracemalloc.start()
+        try:
+            ckpt = train(make_pairs(32), enc, LossConfig(), TrainConfig(batch_size=16, epochs=2)).checkpoint
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20 < dense_table
+        assert ckpt.compact.E.shape == (len(ckpt.rows), enc.embed_dim) and len(ckpt.rows) < 100
 
     def test_loss_decreases_on_synthetic(self):
         dialogues = gen_synthetic(4, 20, 4, 5, seed=0)
@@ -320,10 +363,13 @@ class TestCheckpointIO:
         p = tmp_path / "m.ckpt"
         save_checkpoint(ckpt, p)
         loaded = load_checkpoint(p)
-        for got, want in ((loaded.model, ckpt.model), (loaded.adam.m, ckpt.adam.m), (loaded.adam.v, ckpt.adam.v)):
+        for got, want in ((loaded.compact, ckpt.compact), (loaded.adam.m, ckpt.adam.m), (loaded.adam.v, ckpt.adam.v),
+                          (loaded.model, ckpt.model)):
             assert type(got) is EncoderModel and got.config == ckpt.model.config
             for (_, a), (_, b) in zip(got.param_items(), want.param_items()):
                 assert np.array_equal(a, b)
+        assert loaded.rows.tolist() == ckpt.rows.tolist()
+        assert loaded.init_seed == ckpt.init_seed
         assert loaded.epoch == ckpt.epoch
         assert loaded.adam.t == ckpt.adam.t
         assert loaded.config_digest == ckpt.config_digest
@@ -337,35 +383,45 @@ class TestCheckpointIO:
 
     def test_file_layout_byte_for_byte(self, tmp_path):
         ckpt = self.make_checkpoint()
-        ckpt.model.W1 = np.asfortranarray(ckpt.model.W1)  # saved in C order all the same
+        ckpt.compact.W1 = np.asfortranarray(ckpt.compact.W1)  # saved in C order all the same
         ckpt.adam.m.b1 = ckpt.adam.m.b1.astype(np.float64)  # saved as f4 all the same
-        cfg = ckpt.model.config
+        cfg = ckpt.compact.config
+        assert CHECKPOINT_MAGIC == b"DSECKPT2\n"
         header = "".join(f"{k}={v}\n" for k, v in [*vars(cfg).items(), ("epoch", ckpt.epoch),
-                         ("adam_t", ckpt.adam.t), ("config_digest", ckpt.config_digest)])
-        payload = b"".join(np.array(getattr(g, name), dtype="<f4").tobytes()
-                           for g in (ckpt.model, ckpt.adam.m, ckpt.adam.v) for name in param_shapes(cfg))
+                         ("adam_t", ckpt.adam.t), ("config_digest", ckpt.config_digest),
+                         ("init_seed", ckpt.init_seed), ("live_rows", len(ckpt.rows))])
+        payload = np.array(ckpt.rows, dtype="<i8").tobytes() + b"".join(
+            np.array(getattr(g, name), dtype="<f4").tobytes()
+            for g in (ckpt.compact, ckpt.adam.m, ckpt.adam.v) for name in param_shapes(cfg))
         p = tmp_path / "m.ckpt"
         save_checkpoint(ckpt, p)
         assert p.read_bytes() == CHECKPOINT_MAGIC + header.encode() + b"\n" + payload + struct.pack("<Q", len(payload))
 
     def test_default_load_holds_payload_once_in_separate_arrays(self, tmp_path):
+        # Every row of the default 30000-row table live, so the payload (22 MiB) dwarfs the slack:
+        # the load holds it once, plus the dense table it expands.
         model = init_model(EncoderConfig(), seed=0)
+        ckpt = Checkpoint(compact=model, rows=np.arange(model.config.vocab_size), init_seed=0,
+                          adam=init_adam_state(model), epoch=0, config_digest="d")
         p = tmp_path / "m.ckpt"
-        save_checkpoint(Checkpoint(model, init_adam_state(model), epoch=0, config_digest="d"), p)
-        payload = 3 * sum(a.nbytes for _, a in model.param_items())
+        save_checkpoint(ckpt, p)
+        payload = ckpt.rows.nbytes + 3 * sum(a.nbytes for _, a in model.param_items())
+        dense_table = model.E.nbytes
         tracemalloc.start()
         try:
             loaded = load_checkpoint(p)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= payload + 2 * 2**20
-        for group in (loaded.model, loaded.adam.m, loaded.adam.v):
-            for name, a in group.param_items():
-                assert a.dtype == np.dtype("<f4") and a.flags.c_contiguous and a.flags.aligned, name
-                # writable, and freed on its own when dropped: no view of a shared buffer
-                assert a.flags.writeable and a.flags.owndata, name
-        assert np.array_equal(loaded.model.E, model.E)
+        assert peak <= payload + dense_table + 2 * 2**20
+        arrays = [("rows", loaded.rows)] + [(name, a) for group in (loaded.compact, loaded.adam.m, loaded.adam.v)
+                                            for name, a in group.param_items()]
+        for name, a in arrays:
+            assert a.dtype == np.dtype("<i8" if name == "rows" else "<f4"), name
+            assert a.flags.c_contiguous and a.flags.aligned, name
+            # writable, and freed on its own when dropped: no view of a shared buffer
+            assert a.flags.writeable and a.flags.owndata, name
+        assert loaded.model.E.tobytes() == ckpt.model.E.tobytes()
 
     def test_header_terminator_across_read_chunks(self, tmp_path):
         # the blank line that ends the header falls at every offset around a 4096-byte read boundary
@@ -405,6 +461,45 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(p)
 
+    def test_old_format_says_the_format_changed(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(self.make_checkpoint(), p)
+        p.write_bytes(b"DSECKPT1\n" + p.read_bytes()[len(CHECKPOINT_MAGIC):])
+        with pytest.raises(CheckpointError, match="^DSECKPT1 checkpoint: the format changed to DSECKPT2"):
+            load_checkpoint(p)
+
+    def rewrite_rows(self, tmp_path, edit):
+        p = tmp_path / "m.ckpt"
+        ckpt = self.make_checkpoint()
+        save_checkpoint(ckpt, p)
+        data = p.read_bytes()
+        start = data.index(b"\n\n") + 2
+        rows = np.frombuffer(data, "<i8", len(ckpt.rows), start).copy()
+        edit(rows)
+        p.write_bytes(data[:start] + rows.tobytes() + data[start + rows.nbytes:])
+        return p
+
+    @pytest.mark.parametrize("index, value, message", [
+        (1, "first", "^checkpoint rows: not strictly increasing at index 1 "),  # a repeated row
+        (2, "first", "^checkpoint rows: not strictly increasing at index 2 "),  # a row below its predecessor
+        (0, -1, r"^checkpoint rows: row -1 outside \[0, vocab_size=500\)$"),
+        (-1, 500, r"^checkpoint rows: row 500 outside \[0, vocab_size=500\)$"),
+    ])
+    def test_bad_rows_named(self, tmp_path, index, value, message):
+        def edit(rows):
+            rows[index] = rows[0] if value == "first" else value
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(self.rewrite_rows(tmp_path, edit))
+
+    @pytest.mark.parametrize("delta, message", [(1, "array payload too short"), (-1, "payload longer than expected"),
+                                                (10**15, "array payload too short")])
+    def test_live_rows_disagreeing_with_payload_named(self, tmp_path, delta, message):
+        # 10**15 rows would be an 8 PB allocation: the length check comes before any array is made
+        live = len(self.make_checkpoint().rows)
+        edit = lambda header: header.replace(f"live_rows={live}".encode(), f"live_rows={live + delta}".encode())
+        with pytest.raises(CheckpointError, match=f"{message}: [0-9]+ bytes, where live_rows={live + delta} needs"):
+            load_checkpoint(self.rewrite_header(tmp_path, edit))
+
     def test_truncated(self, tmp_path):
         ckpt = self.make_checkpoint()
         p = tmp_path / "m.ckpt"
@@ -422,7 +517,7 @@ class TestCheckpointIO:
         p.write_bytes(edit(data[:end]) + data[end:])
         return p
 
-    @pytest.mark.parametrize("field", ["epoch", "adam_t", "vocab_size", "config_digest"])
+    @pytest.mark.parametrize("field", ["epoch", "adam_t", "vocab_size", "config_digest", "init_seed", "live_rows"])
     def test_missing_header_field_named(self, tmp_path, field):
         drop = lambda header: b"\n".join(
             line for line in header.split(b"\n") if not line.startswith(field.encode() + b"="))
@@ -430,7 +525,7 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match=f"missing field '{field}'"):
             load_checkpoint(p)
 
-    @pytest.mark.parametrize("field", ["epoch", "adam_t", "dropout_rate"])
+    @pytest.mark.parametrize("field", ["epoch", "adam_t", "dropout_rate", "init_seed", "live_rows"])
     def test_unparsable_header_field_named(self, tmp_path, field):
         key = field.encode() + b"="
         garble = lambda header: b"\n".join(
@@ -440,7 +535,8 @@ class TestCheckpointIO:
             load_checkpoint(p)
 
     @pytest.mark.parametrize("field, value", [("vocab_size", b"5"), ("dropout_rate", b"1.5"),
-                                              ("adam_t", b"-7"), ("epoch", b"-7")])
+                                              ("adam_t", b"-7"), ("epoch", b"-7"), ("init_seed", b"-1"),
+                                              ("live_rows", b"-1")])
     def test_invalid_header_config_named(self, tmp_path, field, value):
         key = field.encode() + b"="
         edit = lambda header: b"\n".join(
@@ -448,6 +544,12 @@ class TestCheckpointIO:
         p = self.rewrite_header(tmp_path, edit)
         with pytest.raises(CheckpointError, match=f"^checkpoint header: {field} must be"):
             load_checkpoint(p)
+
+    def test_vocab_size_too_large_to_expand_named(self, tmp_path):
+        # 10**17 rows cannot be allocated on any host: the expansion's MemoryError becomes a named error
+        edit = lambda header: header.replace(b"\nvocab_size=500\n", b"\nvocab_size=%d\n" % 10**17)
+        with pytest.raises(CheckpointError, match="^checkpoint header: vocab_size=100000000000000000 makes"):
+            load_checkpoint(self.rewrite_header(tmp_path, edit))
 
     def test_header_not_utf8(self, tmp_path):
         p = self.rewrite_header(tmp_path, lambda header: header.replace(b"config_digest=", b"config_digest=\xff"))
@@ -457,7 +559,7 @@ class TestCheckpointIO:
     @pytest.mark.parametrize("group, name", [(0, "E"), (1, "b2"), (2, "W1")])
     def test_nonfinite_array_rejected(self, tmp_path, group, name):
         ckpt = self.make_checkpoint()
-        structure = (ckpt.model, ckpt.adam.m, ckpt.adam.v)[group]
+        structure = (ckpt.compact, ckpt.adam.m, ckpt.adam.v)[group]
         getattr(structure, name).flat[0] = np.inf if group else np.nan
         p = tmp_path / "m.ckpt"
         save_checkpoint(ckpt, p)
@@ -484,22 +586,45 @@ class TestCheckpointIO:
 
 # Taken on numpy 2.4.6 with scipy-openblas 0.3.31 (equal at 1 and 2 BLAS threads).
 GOLDEN_SHA256 = {
-    "defaults": "fff2b89f746066e0bd3396b71a087f6736350fe1120b54443529bfddd576cd17",
-    "paper": "93867efd526482608981626b74a2b975dd0685afcf5c42971418475c8af74355",
+    "defaults": "185f5db9810a93015ac259d5109f662c10b2aa397fb9a1a4fd19ce30ed2667a0",
+    "paper": "5bd4ed3427e858237e11c9e0bd635b625f3dd3a6236403d18d39b46aece24f46",
+}
+# sha256 of the dense model, Adam m and Adam v as f4 arrays in param_shapes order: the payload of the
+# DSECKPT1 files these runs wrote, which stored the whole table. DSECKPT2 files expand to the same bytes.
+MODEL_SHA256 = {
+    "defaults": "5b5433c89a25a4b3846d2305e63a5b06c75b648c9e0cf7807728e921526b1f72",
+    "paper": "af6eb234675c2c57d0079cbd91191e98b204be559545ad7bfe2afe914a3f8308",
 }
 
 
-@pytest.mark.parametrize("preset", sorted(GOLDEN_SHA256))
-def test_checkpoint_bytes_match_golden_digest(tmp_path, preset):
+def golden_run(preset):
     pairs = build_pairs(gen_synthetic(4, 20, 6, 6, seed=0), "consec")
     if preset == "paper":  # batch 128 keeps alpha peaked and the run short
         enc, train_cfg = EncoderConfig(head_out=128), replace(paper_preset(), batch_size=128, epochs=2)
     else:
         enc, train_cfg = EncoderConfig(), TrainConfig(epochs=2)
+    return train(pairs, enc, LossConfig(), train_cfg).checkpoint
+
+
+@pytest.mark.parametrize("preset", sorted(GOLDEN_SHA256))
+def test_checkpoint_bytes_match_golden_digest(tmp_path, preset):
     path = tmp_path / "m.ckpt"
-    save_checkpoint(train(pairs, enc, LossConfig(), train_cfg).checkpoint, path)
+    save_checkpoint(golden_run(preset), path)
     got = hashlib.sha256(path.read_bytes()).hexdigest()
     assert got == GOLDEN_SHA256[preset], (
         f"{preset} checkpoint sha256 {got} != {GOLDEN_SHA256[preset]}. Another numpy or BLAS than the "
         "one the constant was taken on may round differently. A change that alters the bytes on purpose "
         "updates the constant here and lists old -> new in CHANGES.md.")
+
+
+@pytest.mark.parametrize("preset", sorted(MODEL_SHA256))
+def test_loaded_model_bytes_match_golden_digest(tmp_path, preset):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(golden_run(preset), path)
+    loaded = load_checkpoint(path)
+    adam = dense_moments(loaded)
+    digest = hashlib.sha256()
+    for group in (loaded.model, adam.m, adam.v):
+        for _, a in group.param_items():
+            digest.update(np.ascontiguousarray(a, "<f4").tobytes())
+    assert digest.hexdigest() == MODEL_SHA256[preset]

@@ -27,9 +27,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from dse.cli import main as dse  # noqa: E402
 
 PINNED = {
-    "defaults": ([], "5ac0c08dd76f68cf772d8de30be3ed620437c2e7d3a254e6a2eacd5a609d9fca"),
+    "defaults": ([], "4c0fe8be75f694a3bb91cf680078ac5b5d42b1eeeab4ad6e3a99d4de52722eab"),
     "paper": (["--preset", "paper", "--epochs", "1"],
-              "16e1259e7a60d2b7e639f6d16c752a98fb3a476a3dad152140df0b5eb447f292"),
+              "023a22138152163d5eb5abc6f717cb7217bbec5c2c747aca630147461e9f2a98"),
 }
 
 

@@ -33,14 +33,20 @@ MUTANTS = [
      "rng_seed=[train_cfg.dropout_seed, epoch, step]", "rng_seed=[train_cfg.dropout_seed, step]"),
     ("E-at-lr-head", "src/dse/trainer.py",
      'lr = cfg.lr_backbone if name == "E"', 'lr = cfg.lr_head if name == "E"'),
-    ("no-v-write-back", "src/dse/trainer.py",
-     "((model, compact), (full_m, adam.m), (full_v, adam.v))", "((model, compact), (full_m, adam.m))"),
+    ("snapshot-shares-v", "src/dse/trainer.py", "v=adam.v.map(np.copy)", "v=adam.v"),
+    ("snapshot-model-shares-table", "src/dse/trainer.py",
+     "ckpt._expand(last.model.E.copy())", "ckpt._expand(last.model.E)"),
     ("keep-size-one-batch", "src/dse/trainer.py", "if len(b) >= 2]", "if len(b) >= 1]"),
     ("dropout-half-rate", "src/dse/encoder.py",
      "drop1 = (rng.random((n, cfg.embed_dim)) >= p)", "drop1 = (rng.random((n, cfg.embed_dim)) >= p / 2)"),
     ("init-by-fan-out", "src/dse/encoder.py", "1.0 / np.sqrt(shape[0])", "1.0 / np.sqrt(shape[1])"),
     ("init-no-last-partial-block", "src/dse/encoder.py",
-     "range(0, shape[0], _INIT_BLOCK_ROWS)", "range(0, shape[0] - _INIT_BLOCK_ROWS + 1, _INIT_BLOCK_ROWS)"),
+     "range(0, len(rows), _INIT_BLOCK_ROWS)", "range(0, len(rows) - _INIT_BLOCK_ROWS + 1, _INIT_BLOCK_ROWS)"),
+    ("init-run-advance-one-row-on", "src/dse/encoder.py",
+     "bitgen.advance((int(part[lo]) - done) * d)", "bitgen.advance((int(part[lo]) + 1 - done) * d)"),
+    ("init-no-advance-past-table", "src/dse/encoder.py", "bitgen.advance((n - done) * d)", "None"),
+    ("init-drops-last-run", "src/dse/encoder.py",
+     "zip(edges[:-1], edges[1:])", "zip(edges[:-2], edges[1:-1])"),
     ("scatter-reversed-index", "src/dse/encoder.py", "np.arange(d)", "np.arange(d)[::-1]"),
     ("space-table-no-1c", "src/dse/encoder.py", r"\x1c\x1d", r"\x1d"),
     ("pool-longer-k", "src/dse/encoder.py", "live = longer[k + 1]", "live = longer[k]"),
