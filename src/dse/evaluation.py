@@ -9,6 +9,10 @@ Every function takes an ``embedder``: a callable mapping a list of texts
 to an (n, d) array. All tie-breaking rules are deterministic and
 conservative: argmax ties go to the smallest label id, ranking ties count
 against the gold response, and probe ties count as incorrect.
+
+Labels are int ids, and OOS_LABEL (-1) marks out-of-scope in gold and in
+predictions alike: ``detect_oos`` returns one int array of predicted
+labels, which ``oos_metrics`` compares with gold in whole-array passes.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ class LabeledSet:
 
 @dataclass
 class PrototypeSet:
-    labels: list[int]
+    labels: np.ndarray  # sorted int label ids
     vectors: np.ndarray  # one row per entry of labels
 
 
@@ -61,13 +65,6 @@ class StatsPopulation(Enum):
 class OOSConfig:
     threshold_rule: ThresholdRule = ThresholdRule.MEAN
     stats_population: StatsPopulation = StatsPopulation.TEST_ALL
-
-
-@dataclass
-class OOSPrediction:
-    is_oos: bool
-    label: int | None
-    max_sim: float
 
 
 @dataclass
@@ -116,16 +113,19 @@ def sample_few_shot(full: LabeledSet, shots: int, seed: int) -> tuple[LabeledSet
 
 
 def build_prototypes(support: LabeledSet, embedder: Embedder) -> PrototypeSet:
-    """One prototype per label: the plain mean of its support embeddings."""
+    """One prototype per label: the plain mean of its support embeddings.
+
+    The rows are summed in support order from +0.0 and divided by the group
+    size in float64, as ``mean`` does, so each prototype is byte-equal to
+    ``emb[labels == l].mean(axis=0)``.
+    """
     if not support.items:
         raise ValueError("support set is empty")
-    texts = [t for t, _ in support.items]
-    emb = embedder(texts)
-    labels = sorted({label for _, label in support.items})
-    vectors = np.stack([
-        emb[[i for i, (_, l) in enumerate(support.items) if l == label]].mean(axis=0)
-        for label in labels
-    ])
+    emb = embedder([t for t, _ in support.items])
+    labels, group = np.unique([l for _, l in support.items], return_inverse=True)
+    sums = np.zeros((len(labels), emb.shape[1]), dtype=emb.dtype)
+    np.add.at(sums, group, emb)
+    vectors = (sums / np.bincount(group)[:, None].astype(np.float64)).astype(emb.dtype, copy=False)
     return PrototypeSet(labels=labels, vectors=vectors)
 
 
@@ -133,7 +133,7 @@ def _max_sims(queries: list[str], protos: PrototypeSet, embedder: Embedder) -> t
     """Per query: (best label, similarity to best prototype); ties -> smallest label id."""
     sims = cosines(embedder(queries)[:, None], protos.vectors[None])
     best = sims.argmax(axis=1)  # argmax takes the first maximum; labels are sorted ascending
-    return np.asarray(protos.labels)[best], sims[np.arange(len(queries)), best]
+    return protos.labels[best], sims[np.arange(len(queries)), best]
 
 
 def classify_protonet(queries: list[str], protos: PrototypeSet, embedder: Embedder) -> list[tuple[int, float]]:
@@ -148,13 +148,13 @@ def detect_oos(
     cfg: OOSConfig,
     embedder: Embedder,
     gold_is_oos: list[bool] | None = None,
-) -> list[OOSPrediction]:
-    """Flag queries whose best-prototype similarity falls below a threshold.
+) -> np.ndarray:
+    """Predicted label per query, OOS_LABEL where its best-prototype similarity
+    falls strictly below a threshold.
 
     The threshold is mean (or mean minus population std) of the max
-    similarities over the configured population; strictly below flags
-    out-of-scope. TEST_IN_ONLY restricts the statistics to in-scope gold
-    queries and therefore needs ``gold_is_oos``.
+    similarities over the configured population. TEST_IN_ONLY restricts the
+    statistics to in-scope gold queries and therefore needs ``gold_is_oos``.
     """
     if len(queries) < 2:
         raise ValueError("need at least 2 queries to form threshold statistics")
@@ -169,44 +169,29 @@ def detect_oos(
         pop = sims
     mu = float(pop.mean())
     threshold = mu if cfg.threshold_rule is ThresholdRule.MEAN else mu - float(pop.std())
-    return [
-        OOSPrediction(is_oos=bool(s < threshold), label=None if s < threshold else int(l), max_sim=float(s))
-        for l, s in zip(labels, sims)
-    ]
+    return np.where(sims < threshold, OOS_LABEL, labels)
 
 
-def oos_metrics(gold: list[int], predictions: list[OOSPrediction]) -> EvalReport:
-    """Four metrics over gold labels where OOS_LABEL (-1) marks out-of-scope.
+def oos_metrics(gold: list[int], predicted: list[int] | np.ndarray) -> EvalReport:
+    """Four metrics over gold and predicted labels where OOS_LABEL (-1) marks out-of-scope.
 
     Accuracy: full-task correctness (right label for in-scope, flagged for
     OOS). In-Accuracy: the same restricted to in-scope gold. OOS-Accuracy:
     correctness of the binary in/out decision. OOS-Recall: flagged
     fraction of gold OOS.
     """
-    if len(gold) != len(predictions):
-        raise ValueError(f"gold has {len(gold)} items, predictions {len(predictions)}")
-    n = len(gold)
-    correct = in_correct = binary_correct = oos_flagged = 0
-    n_in = n_oos = 0
-    for g, p in zip(gold, predictions):
-        if g == OOS_LABEL:
-            n_oos += 1
-            if p.is_oos:
-                correct += 1
-                binary_correct += 1
-                oos_flagged += 1
-        else:
-            n_in += 1
-            if not p.is_oos:
-                binary_correct += 1
-                if p.label == g:
-                    correct += 1
-                    in_correct += 1
+    if len(gold) != len(predicted):
+        raise ValueError(f"gold has {len(gold)} items, predictions {len(predicted)}")
+    gold, pred = np.asarray(gold), np.asarray(predicted)
+    gold_oos, flagged = gold == OOS_LABEL, pred == OOS_LABEL
+    right = gold == pred
+    n, n_oos = len(gold), int(np.count_nonzero(gold_oos))
+    n_in = n - n_oos
     metrics = {
-        "Accuracy": correct / n,
-        "In-Accuracy": in_correct / n_in if n_in else 0.0,
-        "OOS-Accuracy": binary_correct / n,
-        "OOS-Recall": oos_flagged / n_oos if n_oos else 0.0,
+        "Accuracy": int(np.count_nonzero(right)) / n,
+        "In-Accuracy": int(np.count_nonzero(right & ~gold_oos)) / n_in if n_in else 0.0,
+        "OOS-Accuracy": int(np.count_nonzero(gold_oos == flagged)) / n,
+        "OOS-Recall": int(np.count_nonzero(flagged & gold_oos)) / n_oos if n_oos else 0.0,
     }
     return EvalReport(task="oos_detection", metrics=metrics, support=n)
 
@@ -425,13 +410,10 @@ def load_multilabel_tsv(path: str | Path) -> tuple[list[tuple[str, np.ndarray]],
     raw = [(text, [l for l in labels.split(",") if l]) for text, labels in read_tsv(path, 2, text_fields=1)]
     names = sorted({l for _, labels in raw for l in labels})
     index = {name: i for i, name in enumerate(names)}
-    out = []
-    for text, labels in raw:
-        bits = np.zeros(len(names), dtype=np.int8)
-        for l in labels:
-            bits[index[l]] = 1
-        out.append((text, bits))
-    return out, names
+    bits = np.zeros((len(raw), len(names)), dtype=np.int8)
+    row_ids = [i for i, (_, labels) in enumerate(raw) for _ in labels]
+    bits[row_ids, [index[l] for _, labels in raw for l in labels]] = 1
+    return [(text, row) for (text, _), row in zip(raw, bits)], names
 
 
 def load_nli_tsv(path: str | Path) -> list[tuple[str, str, str]]:

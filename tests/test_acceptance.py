@@ -237,21 +237,21 @@ def test_criterion_6_oracle_equivalence():
             gold[0] = ev.OOS_LABEL
         if all(g == ev.OOS_LABEL for g in gold):
             gold[-1] = 0
-        preds = []
+        draws = []
         for _ in range(n):
             is_oos = bool(rng.random() < 0.4)
-            preds.append(ev.OOSPrediction(is_oos, None if is_oos else int(rng.integers(0, 3)), 0.0))
-        m = ev.oos_metrics(gold, preds).metrics
+            draws.append((is_oos, None if is_oos else int(rng.integers(0, 3))))
+        m = ev.oos_metrics(gold, [ev.OOS_LABEL if is_oos else label for is_oos, label in draws]).metrics
         acc = sum(
-            1 for g, p in zip(gold, preds)
-            if (g == ev.OOS_LABEL and p.is_oos) or (g != ev.OOS_LABEL and not p.is_oos and p.label == g)
+            1 for g, (is_oos, label) in zip(gold, draws)
+            if (g == ev.OOS_LABEL and is_oos) or (g != ev.OOS_LABEL and not is_oos and label == g)
         ) / n
         n_in = sum(1 for g in gold if g != ev.OOS_LABEL)
-        in_acc = sum(1 for g, p in zip(gold, preds)
-                     if g != ev.OOS_LABEL and not p.is_oos and p.label == g) / n_in
-        bin_acc = sum(1 for g, p in zip(gold, preds) if (g == ev.OOS_LABEL) == p.is_oos) / n
+        in_acc = sum(1 for g, (is_oos, label) in zip(gold, draws)
+                     if g != ev.OOS_LABEL and not is_oos and label == g) / n_in
+        bin_acc = sum(1 for g, (is_oos, _) in zip(gold, draws) if (g == ev.OOS_LABEL) == is_oos) / n
         n_oos = n - n_in
-        recall = sum(1 for g, p in zip(gold, preds) if g == ev.OOS_LABEL and p.is_oos) / n_oos
+        recall = sum(1 for g, (is_oos, _) in zip(gold, draws) if g == ev.OOS_LABEL and is_oos) / n_oos
         ok &= (m["Accuracy"] == acc and m["In-Accuracy"] == in_acc
                and m["OOS-Accuracy"] == bin_acc and m["OOS-Recall"] == recall)
 

@@ -414,10 +414,10 @@ class TestEvalCommands:
         code, stdout, _ = run(["eval-intent", "--ckpt", str(ckpt), "--data", str(data),
                                "--out", str(report_path), "--shots", "2"], capsys)
         assert code == 0
-        assert "Accuracy=" in stdout
+        assert stdout.endswith("task=intent_classification\nsupport=6\nseed=0\nAccuracy=0.5\n")
         report = json.loads(report_path.read_text())
         assert report["task"] == "intent_classification"
-        assert 0.0 <= report["metrics"]["Accuracy"] <= 1.0
+        assert report["metrics"] == {"Accuracy": 0.5}
 
     def test_eval_intent_rejects_negative_shots(self, tmp_path, corpus_path, trained, capsys):
         _, ckpt = trained
@@ -427,14 +427,30 @@ class TestEvalCommands:
         assert code == 1
         assert stderr.startswith("error: ") and "shots" in stderr
 
-    def test_eval_oos(self, tmp_path, corpus_path, trained, capsys):
-        _, ckpt = trained
+    # Values read from the trained fixture's model: 96 in-scope and 4 OOS queries.
+    OOS_METRICS = {
+        (): "Accuracy=0.37\nIn-Accuracy=0.3541666666666667\nOOS-Accuracy=0.57\nOOS-Recall=0.75\n",
+        ("--threshold-rule", "mean_minus_std"):
+            "Accuracy=0.47\nIn-Accuracy=0.4895833333333333\nOOS-Accuracy=0.77\nOOS-Recall=0.0\n",
+        ("--stats-population", "test_in_only"):
+            "Accuracy=0.37\nIn-Accuracy=0.3541666666666667\nOOS-Accuracy=0.57\nOOS-Recall=0.75\n",
+        ("--threshold-rule", "mean_minus_std", "--stats-population", "test_in_only"):
+            "Accuracy=0.48\nIn-Accuracy=0.5\nOOS-Accuracy=0.8\nOOS-Recall=0.0\n",
+    }
+
+    def run_eval_oos(self, tmp_path, corpus_path, ckpt, capsys, flags):
         data = intent_tsv(tmp_path, corpus_path, include_oos=True)
         code, stdout, _ = run(["eval-oos", "--ckpt", str(ckpt), "--data", str(data),
-                               "--shots", "2"], capsys)
+                               "--shots", "2", *flags], capsys)
         assert code == 0
-        for name in ("Accuracy", "In-Accuracy", "OOS-Accuracy", "OOS-Recall"):
-            assert f"{name}=" in stdout
+        assert stdout.endswith("task=oos_detection\nsupport=100\nseed=0\n" + self.OOS_METRICS[flags])
+
+    def test_eval_oos(self, tmp_path, corpus_path, trained, capsys):
+        self.run_eval_oos(tmp_path, corpus_path, trained[1], capsys, ())
+
+    @pytest.mark.parametrize("flags", list(OOS_METRICS)[1:], ids=lambda flags: "+".join(flags[1::2]))
+    def test_eval_oos_other_thresholds(self, tmp_path, corpus_path, trained, capsys, flags):
+        self.run_eval_oos(tmp_path, corpus_path, trained[1], capsys, flags)
 
     def test_eval_rank(self, tmp_path, trained, capsys):
         pairs, ckpt = trained

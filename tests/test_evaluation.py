@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -63,6 +64,27 @@ class TestPrototypes:
             ev.build_prototypes(ev.LabeledSet(items=(), label_names=("x",)),
                                 dict_embedder({}, 2))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_equal_per_label_mean(self, dtype):
+        # Groups of 1 and of more than 8 rows, labels unsorted, about 30% -0.0 entries and
+        # magnitudes 1e-30 .. 1e30 in one row: a different start value or summation order
+        # shows in the bytes.
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            sizes = [1, 1, int(rng.integers(9, 20)), *rng.integers(2, 6, size=3)]
+            labels = rng.permutation(np.repeat(rng.permutation(10)[:len(sizes)], sizes))
+            emb = rng.normal(size=(len(labels), 5)) * rng.choice([1e-30, 1.0, 1e30], size=(len(labels), 5))
+            emb[rng.random(emb.shape) < 0.3] = -0.0
+            emb = emb.astype(dtype)
+            support = ev.LabeledSet(items=tuple((f"t{i}", int(l)) for i, l in enumerate(labels)),
+                                    label_names=tuple(f"l{l}" for l in range(10)))
+            protos = ev.build_prototypes(support, lambda texts: emb[[int(t[1:]) for t in texts]])
+            expected_labels = sorted(set(labels.tolist()))
+            expected = np.stack([emb[labels == l].mean(axis=0) for l in expected_labels])
+            assert protos.labels.tolist() == expected_labels
+            assert protos.vectors.dtype == expected.dtype
+            assert protos.vectors.tobytes() == expected.tobytes()
+
 
 class TestClassifyProtonet:
     def test_identical_query(self):
@@ -118,13 +140,34 @@ class TestDetectOOS:
         support = ev.LabeledSet(items=(("proto0", 0),), label_names=("x",))
         protos = ev.build_prototypes(support, emb)
         preds = ev.detect_oos(["q", "q", "q"], protos, ev.OOSConfig(), emb)
-        assert not any(p.is_oos for p in preds)
+        assert preds.tolist() == [0, 0, 0]
 
     def test_mean_minus_std_flags_fewer(self):
         emb, protos, queries = self.setup_instance(np.random.default_rng(4))
         mean_preds = ev.detect_oos(queries, protos, ev.OOSConfig(ev.ThresholdRule.MEAN), emb)
         md_preds = ev.detect_oos(queries, protos, ev.OOSConfig(ev.ThresholdRule.MEAN_MINUS_STD), emb)
-        assert sum(p.is_oos for p in md_preds) <= sum(p.is_oos for p in mean_preds)
+        assert np.count_nonzero(md_preds == ev.OOS_LABEL) <= np.count_nonzero(mean_preds == ev.OOS_LABEL)
+
+    @pytest.mark.parametrize("rule", list(ev.ThresholdRule))
+    @pytest.mark.parametrize("population", list(ev.StatsPopulation))
+    def test_matches_brute_force_threshold(self, rule, population):
+        emb, protos, queries = self.setup_instance(np.random.default_rng(8), n=60)
+        best = ev.classify_protonet(queries, protos, emb)
+        # gold OOS: the 20 queries least like any prototype, so the two populations' thresholds differ
+        cut = sorted(sim for _, sim in best)[20]
+        gold_is_oos = [sim < cut for _, sim in best]
+        preds = ev.detect_oos(queries, protos, ev.OOSConfig(rule, population), emb, gold_is_oos=gold_is_oos)
+        # independent threshold: exact sums over the population's max similarities
+        pop = [sim for (_, sim), oos in zip(best, gold_is_oos)
+               if population is ev.StatsPopulation.TEST_ALL or not oos]
+        mu = math.fsum(pop) / len(pop)
+        std = math.sqrt(math.fsum((s - mu) ** 2 for s in pop) / len(pop))
+        threshold = mu if rule is ev.ThresholdRule.MEAN else mu - std
+        n_below = sum(1 for _, sim in best if sim < threshold)
+        assert preds.dtype.kind == "i"
+        assert 0 < n_below < len(queries)
+        assert np.count_nonzero(preds == ev.OOS_LABEL) == n_below
+        assert all(p == label for p, (label, _) in zip(preds.tolist(), best) if p != ev.OOS_LABEL)
 
     def test_in_only_population_needs_gold(self):
         emb, protos, queries = self.setup_instance(np.random.default_rng(5))
@@ -147,19 +190,12 @@ class TestDetectOOS:
 class TestOOSMetrics:
     def test_perfect_predictor(self):
         gold = [0, 1, ev.OOS_LABEL, 2]
-        preds = [
-            ev.OOSPrediction(False, 0, 0.9),
-            ev.OOSPrediction(False, 1, 0.9),
-            ev.OOSPrediction(True, None, 0.1),
-            ev.OOSPrediction(False, 2, 0.9),
-        ]
-        report = ev.oos_metrics(gold, preds)
+        report = ev.oos_metrics(gold, np.array([0, 1, ev.OOS_LABEL, 2]))
         assert all(v == 1.0 for v in report.metrics.values())
 
     def test_flag_everything(self):
         gold = [0] * 8 + [ev.OOS_LABEL] * 2  # 20% OOS
-        preds = [ev.OOSPrediction(True, None, 0.0)] * 10
-        report = ev.oos_metrics(gold, preds)
+        report = ev.oos_metrics(gold, np.full(10, ev.OOS_LABEL))
         assert report.metrics["OOS-Recall"] == 1.0
         assert report.metrics["OOS-Accuracy"] == pytest.approx(0.2)
         assert report.metrics["In-Accuracy"] == 0.0
@@ -168,27 +204,21 @@ class TestOOSMetrics:
         rng = np.random.default_rng(7)
         n = 500
         gold = [int(g) if g < 5 else ev.OOS_LABEL for g in rng.integers(0, 6, size=n)]
-        preds = [
-            ev.OOSPrediction(bool(rng.random() < 0.3),
-                             int(rng.integers(0, 5)), float(rng.random()))
-            for _ in range(n)
-        ]
-        preds = [ev.OOSPrediction(p.is_oos, None if p.is_oos else p.label, p.max_sim) for p in preds]
-        report = ev.oos_metrics(gold, preds)
+        # (is_oos, label) per query; the third draw, a max similarity, is not used
+        draws = [(bool(rng.random() < 0.3), int(rng.integers(0, 5)), rng.random())[:2] for _ in range(n)]
+        report = ev.oos_metrics(gold, [ev.OOS_LABEL if is_oos else label for is_oos, label in draws])
         # independent recount
         acc = sum(
-            1 for g, p in zip(gold, preds)
-            if (g == ev.OOS_LABEL and p.is_oos) or (g != ev.OOS_LABEL and not p.is_oos and p.label == g)
+            1 for g, (is_oos, label) in zip(gold, draws)
+            if (g == ev.OOS_LABEL and is_oos) or (g != ev.OOS_LABEL and not is_oos and label == g)
         ) / n
         in_idx = [i for i in range(n) if gold[i] != ev.OOS_LABEL]
-        in_acc = sum(1 for i in in_idx if not preds[i].is_oos and preds[i].label == gold[i]) / len(in_idx)
-        bin_acc = sum(1 for g, p in zip(gold, preds) if (g == ev.OOS_LABEL) == p.is_oos) / n
+        in_acc = sum(1 for i in in_idx if not draws[i][0] and draws[i][1] == gold[i]) / len(in_idx)
+        bin_acc = sum(1 for g, (is_oos, _) in zip(gold, draws) if (g == ev.OOS_LABEL) == is_oos) / n
         oos_idx = [i for i in range(n) if gold[i] == ev.OOS_LABEL]
-        recall = sum(1 for i in oos_idx if preds[i].is_oos) / len(oos_idx)
-        assert report.metrics["Accuracy"] == pytest.approx(acc)
-        assert report.metrics["In-Accuracy"] == pytest.approx(in_acc)
-        assert report.metrics["OOS-Accuracy"] == pytest.approx(bin_acc)
-        assert report.metrics["OOS-Recall"] == pytest.approx(recall)
+        recall = sum(1 for i in oos_idx if draws[i][0]) / len(oos_idx)
+        assert report.metrics == {"Accuracy": acc, "In-Accuracy": in_acc, "OOS-Accuracy": bin_acc,
+                                  "OOS-Recall": recall}
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -623,11 +653,12 @@ class TestLoaders:
 
     def test_multilabel_tsv(self, tmp_path):
         p = tmp_path / "d.tsv"
-        p.write_text("a\tx,y\nb\ty\n")
+        p.write_text("a\tx,y\nb\ty\nc\tz,x,z\nd\tx,,y,z\n")
         items, names = ev.load_multilabel_tsv(p)
-        assert names == ["x", "y"]
-        assert items[0][1].tolist() == [1, 1]
-        assert items[1][1].tolist() == [0, 1]
+        assert names == ["x", "y", "z"]
+        assert [text for text, _ in items] == ["a", "b", "c", "d"]
+        assert [bits.dtype for _, bits in items] == [np.int8] * 4
+        assert [bits.tolist() for _, bits in items] == [[1, 1, 0], [0, 1, 0], [1, 0, 1], [1, 1, 1]]
 
     def test_nli_tsv(self, tmp_path):
         p = tmp_path / "d.tsv"

@@ -64,6 +64,13 @@ MUTANTS = [
     ("f1-empty-label-zero", "src/dse/evaluation.py", "out=np.ones(len(den))", "out=np.zeros(len(den))"),
     ("probe-no-bias-step", "src/dse/evaluation.py", "b -= db", "pass"),
     ("probe-grad-over-n", "src/dse/evaluation.py", "Z /= n * L", "Z /= n"),
+    ("oos-in-accuracy-over-all", "src/dse/evaluation.py", "right & ~gold_oos", "right"),
+    ("oos-recall-over-all", "src/dse/evaluation.py", "/ n_oos if n_oos", "/ n if n_oos"),
+    ("oos-threshold-not-strict", "src/dse/evaluation.py", "sims < threshold", "sims <= threshold"),
+    ("prototype-divide-by-all", "src/dse/evaluation.py",
+     "np.bincount(group)[:, None].astype(np.float64)", "np.float64(len(group))"),
+    ("prototype-start-minus-zero", "src/dse/evaluation.py", "sums = np.zeros(", "sums = -np.zeros("),
+    ("multilabel-rows-reversed", "src/dse/evaluation.py", "bits[row_ids,", "bits[row_ids[::-1],"),
     ("tsv-no-data-lines-ok", "src/dse/corpus.py", "if not rows:", "if False:"),
 ]
 
