@@ -111,6 +111,10 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     if cfg.values:
         print("# resolved configuration")
         cfg.dump()
+    if cfg.values.get("probe_epochs", 0) < 0:
+        raise ValueError(f"probe_epochs must be >= 0, got {cfg.values['probe_epochs']}")
+    if not 0.0 < cfg.values.get("probe_lr", 1.0) < float("inf"):
+        raise ValueError(f"probe_lr must be finite and positive, got {cfg.values['probe_lr']}")
     return cfg
 
 
@@ -176,21 +180,24 @@ def cmd_inspect(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_eval_intent(args, cfg: RunConfig) -> int:
-    embedder = _make_embedder(load_checkpoint(args.ckpt))
-    full = ev.load_labeled_tsv(args.data)
+def _intent_accuracy(support: ev.LabeledSet, validation: ev.LabeledSet, embedder: ev.Embedder) -> float:
+    """Prototypical accuracy on ``validation``, with one prototype per label of ``support``."""
+    texts, gold = zip(*validation.items)
+    preds = ev.classify_protonet(list(texts), ev.build_prototypes(support, embedder), embedder)
+    return float(np.mean([p == g for (p, _), g in zip(preds, gold)]))
+
+
+# --- eval tasks: each reads its data and scores the checkpoint's embedder ---
+
+def _eval_intent(args, cfg: RunConfig, embedder: ev.Embedder) -> ev.EvalReport:
     seed = cfg.values["seed"]
-    support, validation = ev.sample_few_shot(full, cfg.values["shots"], seed)
-    protos = ev.build_prototypes(support, embedder)
-    preds = ev.classify_protonet([t for t, _ in validation.items], protos, embedder)
-    acc = float(np.mean([p == g for (p, _), (_, g) in zip(preds, validation.items)]))
-    report = ev.EvalReport(task="intent_classification", metrics={"Accuracy": acc},
-                           support=len(validation.items), seed=seed)
-    return _report(report, args)
+    support, validation = ev.sample_few_shot(ev.load_labeled_tsv(args.data), cfg.values["shots"], seed)
+    return ev.EvalReport(task="intent_classification",
+                         metrics={"Accuracy": _intent_accuracy(support, validation, embedder)},
+                         support=len(validation.items), seed=seed)
 
 
-def cmd_eval_oos(args, cfg: RunConfig) -> int:
-    embedder = _make_embedder(load_checkpoint(args.ckpt))
+def _eval_oos(args, cfg: RunConfig, embedder: ev.Embedder) -> ev.EvalReport:
     full = ev.load_labeled_tsv(args.data)
     # The label literally named "oos" marks out-of-scope gold.
     oos_id = full.label_names.index("oos") if "oos" in full.label_names else None
@@ -205,46 +212,63 @@ def cmd_eval_oos(args, cfg: RunConfig) -> int:
                           gold_is_oos=[g == ev.OOS_LABEL for g in gold])
     report = ev.oos_metrics(gold, preds)
     report.seed = seed
-    return _report(report, args)
+    return report
 
 
-def cmd_eval_rank(args, cfg: RunConfig) -> int:
-    embedder = _make_embedder(load_checkpoint(args.ckpt))
+def _eval_rank(args, cfg: RunConfig, embedder: ev.Embedder) -> ev.EvalReport:
     pairs = load_pair_file(args.data)
     queries = [p.query for p in pairs]
     golds = [p.response for p in pairs]
-    report = ev.rank_topk(queries, golds, golds, embedder,
-                          n_candidates=cfg.values["n_candidates"], seed=cfg.values["seed"])
-    return _report(report, args)
+    return ev.rank_topk(queries, golds, golds, embedder,
+                        n_candidates=cfg.values["n_candidates"], seed=cfg.values["seed"])
 
 
-def cmd_eval_nli(args, cfg: RunConfig) -> int:
-    embedder = _make_embedder(load_checkpoint(args.ckpt))
+def _eval_nli(args, cfg: RunConfig, embedder: ev.Embedder) -> ev.EvalReport:
     triples = ev.load_nli_tsv(args.data)
     acc = ev.nli_probe(triples, embedder)
-    report = ev.EvalReport(task="nli_probe", metrics={"Accuracy": acc}, support=len(triples))
-    return _report(report, args)
+    return ev.EvalReport(task="nli_probe", metrics={"Accuracy": acc}, support=len(triples))
 
 
-def cmd_eval_actions(args, cfg: RunConfig) -> int:
-    epochs, lr = cfg.values["probe_epochs"], cfg.values["probe_lr"]
-    if epochs < 0:
-        raise ValueError(f"probe_epochs must be >= 0, got {epochs}")
-    if not 0.0 < lr < float("inf"):
-        raise ValueError(f"probe_lr must be finite and positive, got {lr}")
-    embedder = _make_embedder(load_checkpoint(args.ckpt))
+def _eval_actions(args, cfg: RunConfig, embedder: ev.Embedder) -> ev.EvalReport:
     train_items, names = ev.load_multilabel_tsv(args.train_data)
     test_items, test_names = ev.load_multilabel_tsv(args.data)
     if test_names != names:
         raise ValueError("train and test label sets differ")
-    probe = ev.train_action_probe(train_items, embedder, num_labels=len(names), epochs=epochs, lr=lr)
+    probe = ev.train_action_probe(train_items, embedder, num_labels=len(names),
+                                  epochs=cfg.values["probe_epochs"], lr=cfg.values["probe_lr"])
     pred = ev.predict_actions(probe, [t for t, _ in test_items], embedder)
     gold = np.stack([y for _, y in test_items])
     micro, macro = ev.f1_scores(gold, pred)
-    report = ev.EvalReport(task="action_prediction",
-                           metrics={"Micro-F1": micro, "Macro-F1": macro},
-                           support=len(test_items))
-    return _report(report, args)
+    return ev.EvalReport(task="action_prediction",
+                         metrics={"Micro-F1": micro, "Macro-F1": macro},
+                         support=len(test_items))
+
+
+# (command, task, config keys it reads, help, --data help)
+EVAL_COMMANDS = (
+    ("eval-intent", _eval_intent, ("seed", "shots"), "few-shot prototypical intent accuracy", "TSV: text<TAB>label"),
+    ("eval-oos", _eval_oos, (ev.OOSConfig, "seed", "shots"), "out-of-scope detection metrics",
+     "TSV with 'oos' as the out-of-scope label"),
+    ("eval-rank", _eval_rank, ("seed", "n_candidates"), "top-k response selection",
+     "TSV pair file: query<TAB>response"),
+    ("eval-nli", _eval_nli, (), "entail-vs-contradict cosine probe", "TSV: anchor<TAB>entailment<TAB>contradiction"),
+    ("eval-actions", _eval_actions, ("probe_epochs", "probe_lr"), "multi-label action probe", None),
+)
+
+
+def cmd_eval(args, cfg: RunConfig) -> int:
+    """Load the checkpoint, run the command's task on its embedder, print the report and write it to --out."""
+    report = args.task(args, cfg, _make_embedder(load_checkpoint(args.ckpt)))
+    print(report.to_text(), end="")
+    _write_json_lines(args.out, [report])
+    return 0
+
+
+def _write_json_lines(path: str | None, reports: list[ev.EvalReport]) -> None:
+    """Write each report as one JSON line to ``path``, when given."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(report.to_json() + "\n" for report in reports)
 
 
 def run_epoch_study(
@@ -266,22 +290,17 @@ def run_epoch_study(
     """
     results: dict[str, list[ev.EvalReport]] = {}
     support, validation = ev.sample_few_shot(intent_set, shots, eval_seed)
-    queries = [t for t, _ in validation.items]
-    gold = [l for _, l in validation.items]
 
     for strategy in ("consec", "self"):
         pairs = build_pairs(dialogues, strategy, pair_cfg)
         rows: list[ev.EvalReport] = []
 
         def hook(ckpt: Checkpoint, losses: list[float]) -> None:
-            embedder = _make_embedder(ckpt)
-            protos = ev.build_prototypes(support, embedder)
-            preds = ev.classify_protonet(queries, protos, embedder)
-            acc = float(np.mean([p == g for (p, _), g in zip(preds, gold)]))
+            acc = _intent_accuracy(support, validation, _make_embedder(ckpt))
             rows.append(ev.EvalReport(
                 task=f"epoch_study/{strategy}",
                 metrics={"Accuracy": acc, "TrainLoss": losses[-1]},
-                support=len(queries), seed=eval_seed,
+                support=len(validation.items), seed=eval_seed,
             ))
 
         train(pairs, encoder_cfg, loss_cfg, train_cfg, hooks=[hook])
@@ -301,20 +320,7 @@ def cmd_epoch_study(args, cfg: RunConfig) -> int:
         for epoch, row in enumerate(rows, start=1):
             metrics = " ".join(f"{k}={v:.6f}" for k, v in row.metrics.items())
             print(f"{strategy} epoch={epoch} {metrics}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for strategy, rows in results.items():
-                for row in rows:
-                    fh.write(row.to_json() + "\n")
-    return 0
-
-
-def _report(report: ev.EvalReport, args) -> int:
-    """Print the report, and write it as JSON to --out when given."""
-    print(report.to_text(), end="")
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
+    _write_json_lines(args.out, [row for rows in results.values() for row in rows])
     return 0
 
 
@@ -375,31 +381,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("inspect", cmd_inspect, help="summarize an embedding file")
     p.add_argument("infile")
 
-    p = add("eval-intent", cmd_eval_intent, ("seed", "shots"), help="few-shot prototypical intent accuracy")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--data", required=True, help="TSV: text<TAB>label")
-    p.add_argument("--out")
-
-    p = add("eval-oos", cmd_eval_oos, (ev.OOSConfig, "seed", "shots"), help="out-of-scope detection metrics")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--data", required=True, help="TSV with 'oos' as the out-of-scope label")
-    p.add_argument("--out")
-
-    p = add("eval-rank", cmd_eval_rank, ("seed", "n_candidates"), help="top-k response selection")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--data", required=True, help="TSV pair file: query<TAB>response")
-    p.add_argument("--out")
-
-    p = add("eval-nli", cmd_eval_nli, help="entail-vs-contradict cosine probe")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--data", required=True, help="TSV: anchor<TAB>entailment<TAB>contradiction")
-    p.add_argument("--out")
-
-    p = add("eval-actions", cmd_eval_actions, ("probe_epochs", "probe_lr"), help="multi-label action probe")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--train-data", required=True, help="TSV: text<TAB>l1,l2,...")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out")
+    for name, task, reads, help_text, data_help in EVAL_COMMANDS:
+        p = add(name, cmd_eval, reads, help=help_text)
+        p.set_defaults(task=task)
+        p.add_argument("--ckpt", required=True)
+        if task is _eval_actions:
+            p.add_argument("--train-data", required=True, help="TSV: text<TAB>l1,l2,...")
+        p.add_argument("--data", required=True, help=data_help)
+        p.add_argument("--out")
 
     p = add("epoch-study", cmd_epoch_study, (PairBuildConfig, *training, "seed", "shots"),
             help="per-epoch eval of consec vs self pairs")

@@ -278,6 +278,11 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         raise
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory on this host."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint, each array straight from the file into its own buffer, and expand its dense model.
 
@@ -285,25 +290,24 @@ def load_checkpoint(path) -> Checkpoint:
     own. The header must account for the payload's length exactly before any
     array is read, so the file backs every array read from it. The dense
     table is sized by the header's vocab_size and embed_dim, which the file
-    does not bound: a table numpy refuses to allocate is a CheckpointError,
-    but one the system overcommits is allocated and drawn in full.
+    does not bound: a table larger than physical memory is a CheckpointError
+    before it is allocated, as is one numpy refuses to allocate.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        head = bytearray(fh.read(len(CHECKPOINT_MAGIC)))
+        head = fh.read(len(CHECKPOINT_MAGIC))
         if head == _OLD_MAGIC:
             raise CheckpointError("DSECKPT1 checkpoint: the format changed to DSECKPT2, "
                                   "which stores the init seed and the live embedding rows; train again to write one")
         if head != CHECKPOINT_MAGIC:
             raise CheckpointError("bad magic: not a DSECKPT2 checkpoint")
-        sep = -1
-        while sep < 0 and (chunk := fh.read(4096)):
-            start = max(len(CHECKPOINT_MAGIC), len(head) - 1)
-            head += chunk
-            sep = head.find(b"\n\n", start)
-        if sep < 0:
-            raise CheckpointError("truncated checkpoint: header not terminated")
-        payload_len = size - (sep + 2) - 8
+        lines = []
+        while (line := fh.readline()) != b"\n":  # the blank line ends the header
+            if not line.endswith(b"\n"):
+                raise CheckpointError("truncated checkpoint: header not terminated")
+            lines.append(line)
+        start = fh.tell()
+        payload_len = size - start - 8
         if payload_len < 0:
             raise CheckpointError("truncated checkpoint: missing footer")
         fh.seek(size - 8)
@@ -315,7 +319,7 @@ def load_checkpoint(path) -> Checkpoint:
 
         try:  # a header that is not UTF-8 is a ValueError too
             header: dict[str, str] = {}
-            for line in head[len(CHECKPOINT_MAGIC):sep].decode("utf-8").splitlines():
+            for line in b"".join(lines).decode("utf-8").splitlines():
                 key, _, value = line.partition("=")
                 header[key] = value
             values = {key: parse_value(key, typ, header[key]) for key, typ in _HEADER_TYPES.items()}
@@ -342,7 +346,7 @@ def load_checkpoint(path) -> Checkpoint:
                 raise CheckpointError("truncated checkpoint: array payload too short")
             return a
 
-        fh.seek(sep + 2)
+        fh.seek(start)
         rows = read((live,), "<i8")
         if len(down := np.flatnonzero(rows[1:] <= rows[:-1])):
             i = down[0] + 1
@@ -364,9 +368,13 @@ def load_checkpoint(path) -> Checkpoint:
     ckpt = Checkpoint(compact=compact, rows=rows, init_seed=values["init_seed"],
                       adam=AdamState(m=m, v=v, t=values["adam_t"]), epoch=values["epoch"],
                       config_digest=values["config_digest"])
+    # Nothing in the file bounds vocab_size, which sizes the dense table. Under overcommit np.empty
+    # takes a table larger than memory, so the size is checked before the table is allocated.
     try:
+        if 4 * cfg.vocab_size * cfg.embed_dim > _physical_memory():
+            raise MemoryError
         ckpt.model  # expanded here, so a load's time and memory include the init draw
-    except MemoryError:  # the file no longer bounds vocab_size, which sizes the dense table
+    except MemoryError:
         raise CheckpointError(f"checkpoint header: vocab_size={cfg.vocab_size} makes a dense table "
                               "too large to allocate") from None
     return ckpt

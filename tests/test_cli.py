@@ -7,13 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dse.cli import RUN_DEFAULTS, RunConfig, build_parser, main, run_epoch_study
+import cli_digests
+from dse.cli import RUN_DEFAULTS, RunConfig, _intent_accuracy, _make_embedder, build_parser, main, run_epoch_study
 from dse.corpus import gen_synthetic, load_corpus, topic_of_dialogue
 from dse.encoder import EncoderConfig
-from dse.evaluation import LabeledSet, OOSConfig, ThresholdRule
+from dse.evaluation import LabeledSet, OOSConfig, ThresholdRule, sample_few_shot
 from dse.loss import LossConfig
 from dse.pairs import STRATEGIES, PairBuildConfig, build_pairs, load_pair_file, save_pair_file
-from dse.trainer import TrainConfig, paper_preset
+from dse.trainer import TrainConfig, load_checkpoint, paper_preset, save_checkpoint, train
 
 
 def run(args, capsys):
@@ -338,8 +339,9 @@ class TestCommandPlumbing:
          "truncated checkpoint: array payload too short: [0-9]+ bytes, where live_rows=[0-9]+ needs"),
         ("negative init_seed", "checkpoint header: init_seed must be >= 0, got -1"),
         ("old format", "DSECKPT1 checkpoint: the format changed to DSECKPT2"),
+        ("vocab_size beyond memory", "checkpoint header: vocab_size=100000 makes a dense table too large"),
     ])
-    def test_embed_on_bad_checkpoint_is_one_error_line(self, tmp_path, trained, capsys, fault, message):
+    def test_embed_on_bad_checkpoint_is_one_error_line(self, tmp_path, trained, capsys, monkeypatch, fault, message):
         _, ckpt = trained
         data = ckpt.read_bytes()
         end = data.index(b"\n\n")
@@ -354,6 +356,9 @@ class TestCommandPlumbing:
             header = header.replace(b"live_rows=%d" % live, b"live_rows=%d" % (live + 1))
         elif fault == "negative init_seed":
             header = header.replace(b"\ninit_seed=0\n", b"\ninit_seed=-1\n")
+        elif fault == "vocab_size beyond memory":  # a 3.2 MB table on a host of 2 MiB
+            header = header.replace(b"\nvocab_size=500\n", b"\nvocab_size=100000\n")
+            monkeypatch.setattr("dse.trainer._physical_memory", lambda: 2 << 20)
         else:
             header = b"DSECKPT1\n" + header[len(b"DSECKPT2\n"):]
         bad = tmp_path / "bad.ckpt"
@@ -553,6 +558,30 @@ class TestEvalCommands:
         assert err.startswith(f"error: probe_{message}")
         assert "Micro-F1=" not in stdout
 
+    @pytest.mark.parametrize("command", ["eval-intent", "eval-oos", "eval-rank", "eval-nli", "eval-actions"])
+    def test_out_holds_the_printed_report(self, tmp_path, corpus_path, trained, capsys, command):
+        pairs, ckpt = trained
+        acts = tmp_path / "acts.tsv"
+        acts.write_text("book a table now\tbook\ncancel it all please\tcancel\nbook then cancel today\tbook,cancel\n")
+        nli = tmp_path / "nli.tsv"
+        nli.write_text("book a table for two\treserve a table please\tcancel my flight now\n")
+        inputs = {"eval-intent": ["--data", str(intent_tsv(tmp_path, corpus_path)), "--shots", "2"],
+                  "eval-oos": ["--data", str(intent_tsv(tmp_path, corpus_path, include_oos=True)), "--shots", "2"],
+                  "eval-rank": ["--data", str(pairs), "--n-candidates", "10", "--seed", "3"],
+                  "eval-nli": ["--data", str(nli)],
+                  "eval-actions": ["--train-data", str(acts), "--data", str(acts)]}
+        out = tmp_path / "report.json"
+        code, stdout, _ = run([command, "--ckpt", str(ckpt), *inputs[command], "--out", str(out)], capsys)
+        assert code == 0
+        printed = dict(line.split("=", 1) for line in stdout[stdout.index("task="):].splitlines())
+        lines = out.read_text().splitlines()
+        assert len(lines) == 1
+        report = json.loads(lines[0])
+        assert report.keys() == {"task", "support", "seed", "metrics"}
+        assert (report["task"], str(report["support"]), str(report["seed"])) == (
+            printed.pop("task"), printed.pop("support"), printed.pop("seed"))
+        assert report["metrics"] == {k: float(v) for k, v in printed.items()}
+
 
 class TestEpochStudy:
     def make_inputs(self):
@@ -584,6 +613,17 @@ class TestEpochStudy:
         for strategy in a:
             for ra, rb in zip(a[strategy], b[strategy]):
                 assert ra.metrics == rb.metrics
+
+    def test_final_row_is_eval_intents_accuracy(self, tmp_path):
+        # the consec variant's last epoch, scored as eval-intent scores train's saved checkpoint
+        dialogues, intent, enc = self.make_inputs()
+        cfgs = (LossConfig(), TrainConfig(batch_size=16, epochs=2))
+        rows = run_epoch_study(dialogues, enc, *cfgs, intent, shots=2, eval_seed=3)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(train(build_pairs(dialogues, "consec"), enc, *cfgs).checkpoint, path)
+        support, validation = sample_few_shot(intent, 2, 3)
+        acc = _intent_accuracy(support, validation, _make_embedder(load_checkpoint(path)))
+        assert rows["consec"][-1].metrics["Accuracy"] == acc
 
     def test_cli_output_format(self, tmp_path, corpus_path, capsys):
         data = intent_tsv(tmp_path, corpus_path)
@@ -665,6 +705,10 @@ class TestParser:
         err = capsys.readouterr().err
         assert "unrecognized arguments: --vocab-size 5" in err
         assert err.startswith("usage: dse eval-rank ")
+
+    def test_readme_flow_checkpoints_match_pinned_digests(self):
+        # tools/cli_digests.py's check; the pins were taken on numpy 2.4.6 and scipy-openblas 0.3.31
+        assert cli_digests.digests() == {name: want for name, (_, want) in cli_digests.PINNED.items()}
 
     def test_readme_commands_parse(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -551,6 +551,18 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match="^checkpoint header: vocab_size=100000000000000000 makes"):
             load_checkpoint(self.rewrite_header(tmp_path, edit))
 
+    def test_vocab_size_beyond_physical_memory_named_before_allocation(self, tmp_path, monkeypatch):
+        # a 100000 x 8 float32 table takes 3.2 MB: it loads with that much memory and is refused with a byte less
+        edit = lambda header: header.replace(b"\nvocab_size=500\n", b"\nvocab_size=100000\n")
+        p = self.rewrite_header(tmp_path, edit)
+        need = 4 * 100000 * ENC.embed_dim
+        monkeypatch.setattr("dse.trainer._physical_memory", lambda: need)
+        assert load_checkpoint(p).model.E.shape == (100000, ENC.embed_dim)
+        monkeypatch.setattr("dse.trainer._physical_memory", lambda: need - 1)
+        monkeypatch.setattr("dse.trainer.init_table", lambda *a: pytest.fail("allocated a table larger than memory"))
+        with pytest.raises(CheckpointError, match="^checkpoint header: vocab_size=100000 makes a dense table"):
+            load_checkpoint(p)
+
     def test_header_not_utf8(self, tmp_path):
         p = self.rewrite_header(tmp_path, lambda header: header.replace(b"config_digest=", b"config_digest=\xff"))
         with pytest.raises(CheckpointError, match="header"):

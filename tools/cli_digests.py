@@ -9,6 +9,8 @@ CHANGES.md.
 
     PYTHONPATH=src python tools/cli_digests.py    # about 5 s; exit 1 on a mismatch
 
+``tests/test_cli.py`` runs the same check through ``digests`` and ``PINNED``.
+
 The pins were taken on numpy 2.4.6 and scipy-openblas 0.3.31; another numpy
 or BLAS may round differently.
 """
@@ -40,19 +42,27 @@ def run(argv: list[str]) -> None:
         raise SystemExit(f"dse {' '.join(argv)} exited {code}")
 
 
-def main() -> int:
-    mismatches = 0
+def digests() -> dict[str, str]:
+    """sha256 of the checkpoint of each PINNED run, by name."""
+    got = {}
     with tempfile.TemporaryDirectory(prefix="dse-digests-") as tmp:
         corpus, pairs = f"{tmp}/corpus.jsonl", f"{tmp}/pairs.tsv"
         run(["synth", "--topics", "8", "--dialogues", "100", "--out", corpus])
         run(["build-pairs", "--strategy", "consec", "--in", corpus, "--out", pairs])
-        for name, (flags, want) in PINNED.items():
+        for name, (flags, _) in PINNED.items():
             ckpt = f"{tmp}/{name}.ckpt"
             run(["train", "--pairs", pairs, "--out", ckpt, *flags])
-            got = hashlib.sha256(Path(ckpt).read_bytes()).hexdigest()
-            ok = got == want
-            mismatches += not ok
-            print(f"{name:<9} {'ok' if ok else 'MISMATCH':<9} {got}" + ("" if ok else f" (pinned {want})"))
+            got[name] = hashlib.sha256(Path(ckpt).read_bytes()).hexdigest()
+    return got
+
+
+def main() -> int:
+    mismatches = 0
+    for name, got in digests().items():
+        want = PINNED[name][1]
+        ok = got == want
+        mismatches += not ok
+        print(f"{name:<9} {'ok' if ok else 'MISMATCH':<9} {got}" + ("" if ok else f" (pinned {want})"))
     return 1 if mismatches else 0
 
 

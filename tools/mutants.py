@@ -72,6 +72,8 @@ MUTANTS = [
     ("prototype-start-minus-zero", "src/dse/evaluation.py", "sums = np.zeros(", "sums = -np.zeros("),
     ("multilabel-rows-reversed", "src/dse/evaluation.py", "bits[row_ids,", "bits[row_ids[::-1],"),
     ("tsv-no-data-lines-ok", "src/dse/corpus.py", "if not rows:", "if False:"),
+    ("eval-skips-out-write", "src/dse/cli.py", "_write_json_lines(args.out, [report])", "None"),
+    ("intent-scores-support", "src/dse/cli.py", "zip(*validation.items)", "zip(*support.items)"),
 ]
 
 
