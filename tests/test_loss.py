@@ -18,6 +18,7 @@ from dse.loss import (
     _BLOCK_BYTES,
     _EXP_ZERO_BELOW,
     _add_transpose,
+    _coefficient_product,
     _partners,
     _row_blocks,
 )
@@ -63,7 +64,8 @@ def reference_sim_matrix(embeddings):
     return np.clip(U @ U.T.copy(), -1.0, 1.0)
 
 
-def reference_alpha(embeddings, cfg):
+def textbook_alpha(embeddings, cfg):
+    """alpha as the textbook writes it: divide by tau, and divide each row by its mean."""
     n = embeddings.shape[0]
     if not cfg.hard_negatives:
         return _negative_mask(n).astype(np.float64)
@@ -78,15 +80,15 @@ def reference_alpha(embeddings, cfg):
     return alpha
 
 
-def reference_loss_and_grad(embeddings, cfg, alphas=None):
-    """The straightforward whole-array loss and gradient: exp of every logit,
-    a fresh ``w + w.T`` and fresh products. ``batch_loss`` must match it byte for byte."""
+def textbook_loss_and_grad(embeddings, cfg, alphas=None):
+    """The loss and gradient as the textbook writes them: divisions by tau, by the row sum
+    and by n tau, exp of every logit, and one gemm of a fresh ``w + w.T``."""
     n = embeddings.shape[0]
     tau = cfg.temperature
     rows, partners = _partners(n)
     sims = reference_sim_matrix(embeddings)
     if alphas is None:
-        alphas = reference_alpha(embeddings, cfg)
+        alphas = textbook_alpha(embeddings, cfg)
     z_pos = sims[rows, partners] / tau
     w = alphas * sims
     w /= tau
@@ -110,6 +112,68 @@ def reference_loss_and_grad(embeddings, cfg, alphas=None):
     return loss, grad
 
 
+def reference_alpha(embeddings, cfg):
+    """``textbook_alpha`` with the declared kernels: times 1/tau, and each row times (n-2) / its sum."""
+    n = embeddings.shape[0]
+    if not cfg.hard_negatives:
+        return _negative_mask(n).astype(np.float64)
+    rows, partners = _partners(n)
+    alpha = reference_sim_matrix(embeddings)
+    alpha *= 1.0 / cfg.temperature
+    alpha[rows, rows] = -np.inf
+    alpha[rows, partners] = -np.inf
+    alpha -= alpha.max(axis=1, keepdims=True)
+    np.exp(alpha, out=alpha)
+    alpha *= (n - 2) / alpha.sum(axis=1, keepdims=True)
+    return alpha
+
+
+def reference_loss_and_grad(embeddings, cfg, alphas=None):
+    """The whole-array loss and gradient with the declared kernels; ``batch_loss`` must match
+    it byte for byte. The loss takes exp of every logit. The coefficients zero the terms
+    whose logit is below ``_EXP_ZERO_BELOW``, scale each row by 1 / (row_sum n tau) and
+    read +0.0 below the smallest normal float64. G = (w + w.T) U is one gemm of a fresh
+    ``w + w.T``, or, when the row blocks' nonzero columns cover less than half of w, the
+    sum of each block's products with those columns."""
+    n = embeddings.shape[0]
+    tau = cfg.temperature
+    rows, partners = _partners(n)
+    sims = reference_sim_matrix(embeddings)
+    if alphas is None:
+        alphas = reference_alpha(embeddings, cfg)
+    z_pos = sims[rows, partners] * (1.0 / tau)
+    w = alphas * sims
+    w *= 1.0 / tau
+    w[rows, partners] = z_pos
+    w[rows, rows] = -np.inf
+    row_max = w.max(axis=1)
+    w -= row_max[:, None]
+    e = np.exp(w)
+    row_sum = e.sum(axis=1)
+    loss = float((row_max + np.log(row_sum) - z_pos).sum()) / n
+    e[w < _EXP_ZERO_BELOW] = 0.0
+    scale = 1.0 / (row_sum * (n * tau))
+    q_pos = (e[rows, partners] - row_sum) * scale
+    e *= alphas
+    e *= scale[:, None]
+    e[rows, partners] = q_pos
+    e[np.abs(e) < np.finfo(np.float64).tiny] = 0.0
+    X = embeddings.astype(np.float64)
+    norms = np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
+    U = X / norms
+    occupied = [(b, np.flatnonzero(e[b].any(axis=0))) for b, _, _ in _row_blocks(n)]
+    if 2 * sum((b.stop - b.start) * len(cols) for b, cols in occupied) < n * n:
+        G = np.zeros_like(U)
+        for b, cols in occupied:
+            wc = e[b, cols]
+            G[b] += wc @ U[cols]
+            G[cols] += wc.T @ U[b]
+    else:
+        G = (e + e.T) @ U
+    grad = (G - np.vecdot(U, G)[:, None] * U) / norms
+    return loss, grad
+
+
 def exp_inputs(embeddings, cfg):
     """The logits minus their row max, as the log-sum-exp takes them."""
     n = embeddings.shape[0]
@@ -121,10 +185,29 @@ def exp_inputs(embeddings, cfg):
     return w - w.max(axis=1, keepdims=True)
 
 
-def peaked_rows(rng, M, dim):
-    """Rows in near-identical twins (2k, 2k+1), so each anchor's twin negative
-    takes alpha near 2M-2 and a logit near (2M-2)/tau."""
-    rows = np.repeat(rng.normal(size=(M, dim)), 2, axis=0) + 1e-3 * rng.normal(size=(2 * M, dim))
+# The first even n from 4 isqrt(_BLOCK_BYTES / 8) + 6 up whose last row block is ragged, so it
+# spans about 16 blocks: at 512 KiB, 1030 rows in 16 blocks of 63 and one of 22.
+MULTI_BLOCK_N = next(n for n in itertools.count(4 * math.isqrt(_BLOCK_BYTES // 8) + 6, 2)
+                     if n % _row_blocks(n)[0][0].stop)
+
+
+def count_dense_products(monkeypatch):
+    """Patch ``dse.loss._add_transpose`` to log its calls and return the log. A ``batch_loss``
+    gradient calls it once on the dense side of the gradient product, never on the compacted side."""
+    calls = []
+
+    def counted(w):
+        calls.append(w.shape)
+        return _add_transpose(w)
+
+    monkeypatch.setattr("dse.loss._add_transpose", counted)
+    return calls
+
+
+def peaked_rows(rng, M, dim, noise=1e-3):
+    """Rows in twins (2k, 2k+1), near-identical at the default noise, so each anchor's
+    twin negative takes alpha near 2M-2 and a logit near (2M-2)/tau."""
+    rows = np.repeat(rng.normal(size=(M, dim)), 2, axis=0) + noise * rng.normal(size=(2 * M, dim))
     return rows.astype(np.float32)
 
 
@@ -317,22 +400,35 @@ class TestBatchLoss:
         with pytest.raises(ValueError, match=rf"{re.escape(str(shape))}.*\(6, 6\)"):
             batch_loss(b, LossConfig(), alphas=np.ones(shape), with_grad=True)
 
-    def test_embedding_gradient_fd(self):
-        rng = np.random.default_rng(8)
-        b = random_batch(rng, M=3, dim=4)
-        cfg = LossConfig(temperature=0.3)
+    @staticmethod
+    def assert_gradient_matches_fd(b, cfg, coords):
         alphas = compute_alpha(b, cfg)
         _, grad = batch_loss(b, cfg, alphas=alphas, with_grad=True)
         h = 1e-6
         X = b.embeddings
-        for i in range(X.shape[0]):
-            for j in range(X.shape[1]):
-                Xp, Xm = X.copy(), X.copy()
-                Xp[i, j] += h
-                Xm[i, j] -= h
-                fd = (batch_loss(TrainBatch(Xp), cfg, alphas=alphas)[0]
-                      - batch_loss(TrainBatch(Xm), cfg, alphas=alphas)[0]) / (2 * h)
-                assert grad[i, j] == pytest.approx(fd, rel=1e-5, abs=1e-9)
+        for i, j in coords:
+            Xp, Xm = X.copy(), X.copy()
+            Xp[i, j] += h
+            Xm[i, j] -= h
+            fd = (batch_loss(TrainBatch(Xp), cfg, alphas=alphas)[0]
+                  - batch_loss(TrainBatch(Xm), cfg, alphas=alphas)[0]) / (2 * h)
+            assert grad[i, j] == pytest.approx(fd, rel=1e-5, abs=1e-9), (i, j)
+
+    def test_embedding_gradient_fd(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        b = random_batch(rng, M=3, dim=4)
+        dense = count_dense_products(monkeypatch)
+        self.assert_gradient_matches_fd(b, LossConfig(temperature=0.3), itertools.product(range(6), range(4)))
+        assert len(dense) == 1
+        # A peaked multi-block batch takes the compacted side: twins (2k, 2k+1) with cosine near 0.9,
+        # so each anchor's nonzero coefficients are at its twin and its positive. Rows of norm near 0.1 keep the
+        # gradient large against the rounding of a loss in the thousands.
+        n, dim = MULTI_BLOCK_N, 8
+        rng = np.random.default_rng(27)
+        emb = 0.03 * (np.repeat(rng.normal(size=(n // 2, dim)), 2, axis=0) + 0.3 * rng.normal(size=(n, dim)))
+        coords = list(zip(rng.integers(0, n, 20).tolist(), rng.integers(0, dim, 20).tolist()))
+        self.assert_gradient_matches_fd(TrainBatch(emb), LossConfig(), coords)
+        assert len(dense) == 1
 
 
 @st.composite
@@ -414,23 +510,18 @@ class TestAgainstReference:
         assert (exp_inputs(emb, cfg) < _EXP_ZERO_BELOW).mean() > 0.99
         self.assert_equal_to_reference(emb, cfg)
 
-    # The first even n from 4 isqrt(_BLOCK_BYTES / 8) + 6 up whose last row block is ragged, so it
-    # spans about 16 blocks: at 512 KiB, 1030 rows in 16 blocks of 63 and one of 22.
-    MULTI_BLOCK_N = next(n for n in itertools.count(4 * math.isqrt(_BLOCK_BYTES // 8) + 6, 2)
-                         if n % _row_blocks(n)[0][0].stop)
-
     def test_block_counts(self):
         assert len(_row_blocks(256)) == 1
         assert len(_row_blocks(2048)) > 1
-        blocks = _row_blocks(self.MULTI_BLOCK_N)
+        blocks = _row_blocks(MULTI_BLOCK_N)
         sizes = [b.stop - b.start for b, _, _ in blocks]
         assert len(blocks) >= 3 and sizes[-1] < sizes[0]
-        assert blocks[0][0].start == 0 and blocks[-1][0].stop == self.MULTI_BLOCK_N
+        assert blocks[0][0].start == 0 and blocks[-1][0].stop == MULTI_BLOCK_N
         assert all(a[0].stop == b[0].start for a, b in itertools.pairwise(blocks))
 
     @pytest.mark.parametrize("hard", [True, False])
     def test_many_row_blocks(self, hard):
-        n = self.MULTI_BLOCK_N
+        n = MULTI_BLOCK_N
         rng = np.random.default_rng(n + hard)
         emb = rng.normal(size=(n, 24))
         cfg = LossConfig(hard_negatives=hard)
@@ -441,7 +532,7 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("with_grad", [True, False])
     def test_nan_row_in_the_last_block_raises_without_a_warning(self, with_grad):
-        n = self.MULTI_BLOCK_N
+        n = MULTI_BLOCK_N
         emb = np.random.default_rng(25).normal(size=(n, 8))
         emb[n - 2] = np.nan
         with warnings.catch_warnings():
@@ -460,6 +551,28 @@ class TestAgainstReference:
         self.assert_equal_to_reference(emb, cfg)
         alphas = np.random.default_rng(23).uniform(0.5, 1.5, size=(130, 130)) * _negative_mask(130)
         self.assert_equal_to_reference(emb, cfg, alphas)
+
+
+class TestDeclaredKernels:
+    """The declared kernels (times 1/tau, one row scale, the coefficient flush and the
+    product from each row block's occupied columns) round differently from the textbook
+    form, and by no more than float64 rounding."""
+
+    TOL = 1e-12  # of each row's gradient norm, and of the loss
+
+    @pytest.mark.parametrize("case, dense_side", [("spread", True), ("peaked", False), ("no-hard", True)])
+    def test_gradient_matches_the_textbook_form(self, case, dense_side, monkeypatch):
+        n = MULTI_BLOCK_N
+        rng = np.random.default_rng(26)
+        emb = peaked_rows(rng, n // 2, 32) if case == "peaked" else rng.normal(size=(n, 32))
+        cfg = LossConfig(hard_negatives=case != "no-hard")
+        dense = count_dense_products(monkeypatch)
+        loss, grad = batch_loss(TrainBatch(emb), cfg, with_grad=True)
+        assert len(dense) == dense_side
+        want_loss, want_grad = textbook_loss_and_grad(emb, cfg)
+        assert abs(loss - want_loss) <= self.TOL * abs(want_loss)
+        err = np.linalg.norm(grad - want_grad, axis=1)
+        assert np.all(err <= self.TOL * np.linalg.norm(want_grad, axis=1))
 
 
 class TestLossKernels:
@@ -491,17 +604,47 @@ class TestLossKernels:
         assert (np.exp(above) >= tiny).all()
         assert (np.exp(below) < tiny).all()
 
-    def test_loss_and_grad_memory_at_paper_batch(self):
+    @pytest.mark.parametrize("case", ["spread", "peaked"])
+    def test_loss_and_grad_memory_at_paper_batch(self, case, monkeypatch):
         n = 2048
-        emb = np.random.default_rng(24).normal(size=(n, 128)).astype(np.float32)
+        rng = np.random.default_rng(24)
+        if case == "spread":
+            emb = rng.normal(size=(n, 128)).astype(np.float32)
+        else:
+            emb = peaked_rows(rng, n // 2, 128)
         batch = TrainBatch(emb)
+        dense = count_dense_products(monkeypatch)
         tracemalloc.start()
         try:
             batch_loss(batch, LossConfig(), with_grad=True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert len(dense) == (case == "spread")
         assert peak <= 2 * n * n * 8 + 12 * 2**20
+
+    @pytest.mark.parametrize("case", ["subnormal-band", "peaked"])
+    def test_no_subnormal_coefficient_reaches_the_gradient_product(self, case, monkeypatch):
+        # Without the flush, each batch leaves subnormal coefficients: the embeddings of
+        # test_exp_inputs_in_the_subnormal_band with hard negatives (dense side), and twins with
+        # cosine near 0.5 (compacted side): a small alpha times a small live exp underflows.
+        if case == "subnormal-band":
+            emb = np.random.default_rng(22).normal(size=(130, 3))
+        else:
+            emb = peaked_rows(np.random.default_rng(27), MULTI_BLOCK_N // 2, 32, noise=1.0)
+        dense = count_dense_products(monkeypatch)
+        seen = []
+
+        def product(w, U, occupied):
+            seen.append(w.copy())
+            return _coefficient_product(w, U, occupied)
+
+        monkeypatch.setattr("dse.loss._coefficient_product", product)
+        batch_loss(TrainBatch(emb), LossConfig(), with_grad=True)
+        assert len(dense) == (case == "subnormal-band")
+        (w,) = seen
+        assert np.count_nonzero(w) > 0
+        assert not np.any((w != 0.0) & (np.abs(w) < np.finfo(np.float64).tiny))
 
 
 class TestNtxentReference:
