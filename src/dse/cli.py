@@ -148,13 +148,13 @@ def cmd_build_pairs(args, cfg: RunConfig) -> int:
 
 def cmd_train(args, cfg: RunConfig) -> int:
     pairs = load_pair_file(args.pairs)
-    hooks = []
+    save_epoch = None
     if args.epoch_ckpt_dir:
         out_dir = Path(args.epoch_ckpt_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        hooks.append(lambda ckpt, losses: save_checkpoint(ckpt, out_dir / f"epoch{ckpt.epoch:03d}.ckpt"))
+        save_epoch = lambda ckpt, losses: save_checkpoint(ckpt, out_dir / f"epoch{ckpt.epoch:03d}.ckpt")
     result = train(pairs, cfg.build(EncoderConfig), cfg.build(LossConfig), cfg.build(TrainConfig),
-                   hooks=hooks)
+                   on_epoch=save_epoch)
     save_checkpoint(result.checkpoint, args.out)
     for epoch, loss_value in enumerate(result.epoch_losses, start=1):
         print(f"epoch {epoch}: mean loss {loss_value:.6f}")
@@ -295,7 +295,7 @@ def run_epoch_study(
         pairs = build_pairs(dialogues, strategy, pair_cfg)
         rows: list[ev.EvalReport] = []
 
-        def hook(ckpt: Checkpoint, losses: list[float]) -> None:
+        def score(ckpt: Checkpoint, losses: list[float]) -> None:
             acc = _intent_accuracy(support, validation, _make_embedder(ckpt))
             rows.append(ev.EvalReport(
                 task=f"epoch_study/{strategy}",
@@ -303,7 +303,7 @@ def run_epoch_study(
                 support=len(validation.items), seed=eval_seed,
             ))
 
-        train(pairs, encoder_cfg, loss_cfg, train_cfg, hooks=[hook])
+        train(pairs, encoder_cfg, loss_cfg, train_cfg, on_epoch=score)
         results[strategy] = rows
     return results
 
@@ -412,6 +412,8 @@ def main(argv: list[str] | None = None) -> int:
         out = getattr(args, "out", None)
         if out and not Path(out).parent.is_dir():  # fail before the work, not when writing its result
             raise FileNotFoundError(f"--out {out}: no such directory: {Path(out).parent}")
+        if out and Path(out).is_dir():
+            raise IsADirectoryError(f"--out {out}: is a directory")
         return args.func(args, cfg)
     except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -211,12 +211,6 @@ def init_model(cfg: EncoderConfig, seed: int, rows: np.ndarray | None = None) ->
     return EncoderModel(cfg, *(draw(shape, rows if name == "E" else None) for name, shape in param_shapes(cfg).items()))
 
 
-def init_table(cfg: EncoderConfig, seed: int) -> np.ndarray:
-    """``init_model(cfg, seed).E``, the whole table, without drawing the head after it."""
-    n = cfg.vocab_size
-    return _draw_uniform(np.random.PCG64(seed), (n, cfg.embed_dim), 1.0 / np.sqrt(n))
-
-
 def forward_eval(model: EncoderModel, ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Evaluation view: row means of E over each row's ids, deterministic, no head.
 

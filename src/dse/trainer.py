@@ -7,10 +7,11 @@ A run trains only the live rows of the embedding table ``E``: the rows some
 training text hashes to, a few hundred of the ``vocab_size`` rows. ``train``
 draws just those rows of the init table (``init_model`` with ``rows``), and a
 step costs what the corpus uses, not ``vocab_size``. A dead row never gets a
-gradient, so it keeps its init bytes and its Adam moments stay +0.0. The
-trained state is therefore the compact model, the sorted live row ids and the
-init seed: ``Checkpoint.model``, the dense model, is the init table of that
-seed with the live rows written over it, byte for byte what a dense run gives.
+gradient, so it keeps its init bytes and its Adam moments stay +0.0. The run
+state is therefore one ``Checkpoint``, which ``train`` steps in place: the
+compact model and its Adam moments, the sorted live row ids and the init seed.
+``Checkpoint.model``, the dense model, is the init table of that seed with the
+live rows written over it, byte for byte what a dense run gives.
 
 Checkpoints serialize to a versioned binary format: magic "DSECKPT2", UTF-8
 key=value header (the encoder config, epoch, adam_t, config_digest, init_seed,
@@ -38,7 +39,6 @@ from .encoder import (
     EncoderModel,
     forward_train,
     init_model,
-    init_table,
     param_shapes,
     take_texts,
     tokenize_texts,
@@ -126,10 +126,7 @@ class Checkpoint:
         """The dense model: the init table of ``init_seed`` with the live rows written over it.
 
         Drawn on first use; its head arrays are ``compact``'s."""
-        return self._expand(init_table(self.compact.config, self.init_seed))
-
-    def _expand(self, table: np.ndarray) -> EncoderModel:
-        """The dense model on ``table``, a table with the init bytes on every dead row, written in place."""
+        table = init_model(self.compact.config, self.init_seed).E
         table[self.rows] = self.compact.E
         return replace(self.compact, E=table)
 
@@ -194,7 +191,7 @@ def train(
     encoder_cfg: EncoderConfig,
     loss_cfg: LossConfig,
     train_cfg: TrainConfig,
-    hooks: list | None = None,
+    on_epoch: typing.Callable[[Checkpoint, list[float]], None] | None = None,
 ) -> TrainResult:
     """Full contrastive training run; deterministic given the configs' seeds.
 
@@ -202,8 +199,10 @@ def train(
     the train view as one array of 2M rows (fresh dropout masks from one
     generator seeded with (dropout_seed, epoch, step)), computes the
     symmetrized loss, backpropagates it once to exact gradients, and applies
-    Adam. Hooks fire once after each epoch with that epoch's Checkpoint,
-    which later steps leave as it is.
+    Adam. The run state is one Checkpoint, stepped in place and returned.
+    ``on_epoch`` is called after each epoch with that live state and the
+    epoch losses so far; later steps change both, so a caller that keeps
+    them saves or copies them.
     """
     # Consecutive pairs share texts (a response is the next pair's query):
     # each distinct text is tokenized once. Row 0 of pair_rows holds each
@@ -217,29 +216,24 @@ def train(
     # slots). It keeps the run's EncoderConfig, of which it uses only the names
     # (param_shapes).
     compact = init_model(encoder_cfg, train_cfg.init_seed, rows=live_rows)
-    adam = init_adam_state(compact)
+    run = Checkpoint(compact=compact, rows=live_rows, init_seed=train_cfg.init_seed,
+                     adam=init_adam_state(compact), epoch=0, config_digest=train_cfg.digest())
     epoch_losses: list[float] = []
-    ckpt: Checkpoint | None = None
     for epoch in range(train_cfg.epochs):
         losses = []
         for step, batch_idx in enumerate(make_batches(pairs, train_cfg, epoch)):
             emb, tape = forward_train(compact, *take_texts(slots, lengths, pair_rows[:, batch_idx].ravel()),
                                       rng_seed=[train_cfg.dropout_seed, epoch, step])
             loss_value, grads = batch_loss_and_grad(compact, TrainBatch(emb), loss_cfg, tape)
-            adam_step(compact, grads, adam, train_cfg)
+            adam_step(compact, grads, run.adam, train_cfg)
             losses.append(loss_value)
         epoch_losses.append(float(np.mean(losses)))
-        # Copies, a few KiB: a checkpoint a hook keeps does not change with later steps.
-        last, ckpt = ckpt, Checkpoint(compact=compact.map(np.copy), rows=live_rows, init_seed=train_cfg.init_seed,
-                          adam=AdamState(m=adam.m.map(np.copy), v=adam.v.map(np.copy), t=adam.t),
-                          epoch=epoch + 1, config_digest=train_cfg.digest())
-        if last is not None and "model" in vars(last):
-            # A hook expanded the last epoch's model, whose dead rows hold the init bytes: copy
-            # them rather than draw the table again.
-            ckpt.model = ckpt._expand(last.model.E.copy())
-        for hook in hooks or []:
-            hook(ckpt, epoch_losses)
-    return TrainResult(checkpoint=ckpt, epoch_losses=epoch_losses)
+        run.epoch = epoch + 1
+        if "model" in vars(run):  # a callback drew the dense model; its head arrays are compact's
+            run.model.E[live_rows] = compact.E
+        if on_epoch is not None:
+            on_epoch(run, epoch_losses)
+    return TrainResult(checkpoint=run, epoch_losses=epoch_losses)
 
 
 # Checkpoint header fields and their types: the encoder config, the training position, the init

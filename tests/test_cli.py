@@ -293,6 +293,22 @@ class TestCommandPlumbing:
         assert err == f"error: --out {out}: no such directory: {out.parent}\n"
         assert "Top-1=" not in stdout
 
+    @pytest.mark.parametrize("command", ["train", "embed", "eval-rank"])
+    def test_out_naming_a_directory_refused_before_the_work(self, tmp_path, trained, capsys, monkeypatch, command):
+        pairs, ckpt = trained
+        monkeypatch.setattr("dse.cli.train", lambda *a, **k: pytest.fail("trained despite a directory at --out"))
+        monkeypatch.setattr("dse.cli.load_checkpoint", lambda *a: pytest.fail("loaded despite a directory at --out"))
+        out = tmp_path / "out_dir"
+        out.mkdir()
+        inputs = {"train": ["--pairs", str(pairs)] + SMALL_FLAGS,
+                  "embed": ["--ckpt", str(ckpt), "--in", str(pairs)],
+                  "eval-rank": ["--ckpt", str(ckpt), "--data", str(pairs), "--n-candidates", "10"]}
+        code, stdout, err = run([command, *inputs[command], "--out", str(out)], capsys)
+        assert code == 1
+        assert err == f"error: --out {out}: is a directory\n"
+        assert "wrote" not in stdout and "Top-1=" not in stdout
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["synth", "eval-intent", "eval-rank"])
     def test_negative_seed_named_before_reading(self, tmp_path, capsys, command):
         unread = str(tmp_path / "unread")
@@ -403,12 +419,15 @@ class TestCommandPlumbing:
         pairs = tmp_path / "p.tsv"
         run(["build-pairs", "--strategy", "consec", "--in", str(corpus_path),
              "--out", str(pairs)], capsys)
-        ckpt_dir = tmp_path / "epochs"
-        code, _, _ = run(["train", "--pairs", str(pairs), "--out", str(tmp_path / "m.ckpt"),
+        ckpt_dir, out = tmp_path / "epochs", tmp_path / "m.ckpt"
+        code, _, _ = run(["train", "--pairs", str(pairs), "--out", str(out),
                           "--epoch-ckpt-dir", str(ckpt_dir)] + SMALL_FLAGS, capsys)
         assert code == 0
         names = sorted(p.name for p in ckpt_dir.iterdir())
         assert names == ["epoch001.ckpt", "epoch002.ckpt"]
+        # the last epoch's file is the final state under the same config digest
+        assert (ckpt_dir / names[-1]).read_bytes() == out.read_bytes()
+        assert [load_checkpoint(ckpt_dir / name).epoch for name in names] == [1, 2]
 
 
 class TestEvalCommands:

@@ -12,7 +12,6 @@ from dse.encoder import (
     embed_texts,
     forward_eval,
     forward_train,
-    init_table,
     init_model,
     param_shapes,
     take_texts,
@@ -107,7 +106,6 @@ class TestInit:
         rows = np.array([0, 3, 4, 5, 1023, 1024, 2999])
         full, live = init_model(cfg, seed=4), init_model(cfg, seed=4, rows=rows)
         assert live.E.tobytes() == full.E[rows].tobytes()
-        assert init_table(cfg, seed=4).tobytes() == full.E.tobytes()
         for (name, a), (_, b) in zip(live.param_items()[1:], full.param_items()[1:]):
             assert a.tobytes() == b.tobytes(), name
         want = np.random.default_rng(4)  # the stream of default_rng(seed), one matrix after another

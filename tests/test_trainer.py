@@ -289,31 +289,30 @@ class TestTrain:
         assert not np.array_equal(ckpt.model.E[sorted(used)], init.E[sorted(used)])
         assert adam.v.E[sorted(used)].any(axis=1).all()  # every row a text hashes to was updated
 
-    def test_hooks_fire_per_epoch(self):
+    def test_on_epoch_fires_per_epoch_with_the_run_state(self):
         pairs = make_pairs(8)
         cfg = TrainConfig(batch_size=4, epochs=3)
-        epochs_seen = []
-        train(pairs, ENC, LossConfig(), cfg, hooks=[lambda c, losses: epochs_seen.append(c.epoch)])
-        assert epochs_seen == [1, 2, 3]
+        seen = []
+        result = train(pairs, ENC, LossConfig(), cfg, on_epoch=lambda c, losses: seen.append((c.epoch, c)))
+        assert [epoch for epoch, _ in seen] == [1, 2, 3]
+        assert all(c is result.checkpoint for _, c in seen)
 
-    def test_kept_hook_checkpoints_are_snapshots(self, tmp_path):
-        kept, saved_in_hook, dense_in_hook = [], [], []
+    def test_on_epoch_sees_each_epochs_exact_state(self):
+        pairs, cfg = make_pairs(12), TrainConfig(batch_size=4, epochs=3)
 
-        def hook(ckpt, losses):
-            path = tmp_path / "in_hook.ckpt"
-            save_checkpoint(ckpt, path)
-            saved_in_hook.append(path.read_bytes())
-            dense_in_hook.append(ckpt.model.E.tobytes())  # from epoch 2 on, expanded from the last epoch's
-            kept.append(ckpt)
-        train(make_pairs(12), ENC, LossConfig(), TrainConfig(batch_size=4, epochs=3), hooks=[hook])
-        assert len({id(c.compact) for c in kept}) == len({id(c.model.E) for c in kept}) == 3
-        for ckpt, want, want_dense in zip(kept, saved_in_hook, dense_in_hook):
-            path = tmp_path / "after.ckpt"
-            save_checkpoint(ckpt, path)
-            assert path.read_bytes() == want, f"epoch {ckpt.epoch}"
-            E = init_model(ENC, ckpt.init_seed).E
+        def record(ckpt, losses):  # compact, m and v bytes, adam.t and the losses, then the dense table
+            return (state_bytes(ckpt.compact, ckpt.adam), ckpt.adam.t, list(losses)), ckpt.model.E.tobytes()
+        seen = []
+        train(pairs, ENC, LossConfig(), cfg, on_epoch=lambda ckpt, losses: seen.append(record(ckpt, losses)))
+        assert len(seen) == 3
+        init = init_model(ENC, cfg.init_seed).E
+        for k, (state, dense) in enumerate(seen, start=1):
+            want = train(pairs, ENC, LossConfig(), replace(cfg, epochs=k))
+            ckpt = want.checkpoint
+            assert state == record(ckpt, want.epoch_losses)[0], f"epoch {k}"
+            E = init.copy()
             E[ckpt.rows] = ckpt.compact.E
-            assert ckpt.model.E.tobytes() == want_dense == E.tobytes(), f"epoch {ckpt.epoch}"
+            assert dense == ckpt.model.E.tobytes() == E.tobytes(), f"epoch {k}"
 
     def test_no_vocabulary_sized_allocation(self):
         enc = EncoderConfig(vocab_size=200_000)
@@ -559,7 +558,7 @@ class TestCheckpointIO:
         monkeypatch.setattr("dse.trainer._physical_memory", lambda: need)
         assert load_checkpoint(p).model.E.shape == (100000, ENC.embed_dim)
         monkeypatch.setattr("dse.trainer._physical_memory", lambda: need - 1)
-        monkeypatch.setattr("dse.trainer.init_table", lambda *a: pytest.fail("allocated a table larger than memory"))
+        monkeypatch.setattr("dse.trainer.init_model", lambda *a: pytest.fail("allocated a table larger than memory"))
         with pytest.raises(CheckpointError, match="^checkpoint header: vocab_size=100000 makes a dense table"):
             load_checkpoint(p)
 

@@ -33,9 +33,7 @@ MUTANTS = [
      "rng_seed=[train_cfg.dropout_seed, epoch, step]", "rng_seed=[train_cfg.dropout_seed, step]"),
     ("E-at-lr-head", "src/dse/trainer.py",
      'lr = cfg.lr_backbone if name == "E"', 'lr = cfg.lr_head if name == "E"'),
-    ("snapshot-shares-v", "src/dse/trainer.py", "v=adam.v.map(np.copy)", "v=adam.v"),
-    ("snapshot-model-shares-table", "src/dse/trainer.py",
-     "ckpt._expand(last.model.E.copy())", "ckpt._expand(last.model.E)"),
+    ("epoch-refresh-dropped", "src/dse/trainer.py", "run.model.E[live_rows] = compact.E", "pass"),
     ("keep-size-one-batch", "src/dse/trainer.py", "if len(b) >= 2]", "if len(b) >= 1]"),
     ("dropout-half-rate", "src/dse/encoder.py",
      "drop1 = (rng.random((n, cfg.embed_dim)) >= p)", "drop1 = (rng.random((n, cfg.embed_dim)) >= p / 2)"),
