@@ -162,11 +162,19 @@ def cmd_train(args, cfg: RunConfig) -> int:
     return 0
 
 
+def _written_files(args: argparse.Namespace) -> list[str]:
+    """The files the command writes: ``--out``, when given, and for ``embed`` its texts file beside it."""
+    out = getattr(args, "out", None)
+    if not out:
+        return []
+    return [out, out + ".texts"] if args.func is cmd_embed else [out]
+
+
 def cmd_embed(args, cfg: RunConfig) -> int:
     ckpt = load_checkpoint(args.ckpt)
     texts = [line.rstrip("\n") for line in corpus_mod.read_lines(args.infile, ValueError) if line.strip()]
     emb = embed_texts(ckpt.model, texts)
-    ev.save_embeddings(emb, texts, args.out, str(args.out) + ".texts")
+    ev.save_embeddings(emb, texts, *_written_files(args))
     print(f"wrote {emb.shape[0]} x {emb.shape[1]} embeddings to {args.out}")
     return 0
 
@@ -409,11 +417,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         cfg = _resolve(args)
-        out = getattr(args, "out", None)
-        if out and not Path(out).parent.is_dir():  # fail before the work, not when writing its result
-            raise FileNotFoundError(f"--out {out}: no such directory: {Path(out).parent}")
-        if out and Path(out).is_dir():
-            raise IsADirectoryError(f"--out {out}: is a directory")
+        for path in _written_files(args):  # fail before the work, not when writing its result
+            named = f"--out {path}" if path == args.out else path
+            if not Path(path).parent.is_dir():
+                raise FileNotFoundError(f"{named}: no such directory: {Path(path).parent}")
+            if Path(path).is_dir():
+                raise IsADirectoryError(f"{named}: is a directory")
         return args.func(args, cfg)
     except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)

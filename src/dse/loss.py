@@ -32,6 +32,17 @@ as in the whole array. The loss waits for the loop and sums the full row max,
 log row sum and positive-logit vectors once, so its pairwise order is that of
 the whole-array form; a running total over the blocks would add in another order.
 
+Those row blocks, and the similarity gemm in chunks of ``_GEMM_ROWS`` rows, run on
+every CPU the process may use (``os.sched_getaffinity``): ``_in_parallel`` splits
+the blocks into one contiguous run per CPU, runs the first on the calling thread
+and the others on a module thread pool made at the first batch of more than one
+block. A batch of n <= 256 rows (the CLI default) is one block and one chunk and
+starts no thread, nor does a process with one CPU. The blocks and chunks depend on
+n alone, and each is computed as it would be serially, so the bytes do not depend
+on the CPU count. A worker runs numpy calls on its own rows only: it never calls
+this module's public functions, which a tracer may wrap and whose spans would then
+interleave, and never the pool, whose nested wait would deadlock a one-worker pool.
+
 Because alpha sits in the exponent, almost every term of the log-sum-exp
 underflows. The CPU takes a slow path wherever a result or an operand is
 subnormal: in exp, in the passes that turn its output into gradient
@@ -56,8 +67,9 @@ reads only the coefficients. The logits overwrite the similarity array, so no
 third n x n array is made.
 
 These kernels round differently from the textbook form, a declared change of
-bytes, for speed: ``sim_matrix`` multiplies by a copy of U^T, which numpy sends
-to gemm, not to the slower syrk; alpha, the logits and the positive logits are
+bytes, for speed: ``sim_matrix`` multiplies each chunk of U's rows by a copy of
+U^T, which numpy sends to gemm, not to the slower syrk (a chunk can round unlike
+one gemm of all rows where n is above one chunk and not a multiple of 8); alpha, the logits and the positive logits are
 multiplied by 1/tau, not divided by tau; each alpha row is multiplied by one
 factor (n-2) / row sum; the gradient coefficients take one row scale
 1 / (row_sum n tau) in place of dividing by the row sum and by n tau; the
@@ -70,7 +82,10 @@ norm of the textbook form.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -90,6 +105,47 @@ _TILE = 64
 
 # Bytes of float64 rows in one block of the row-wise n x n passes: a block stays in L2 across them.
 _BLOCK_BYTES = 512 * 1024
+
+# Rows of U in one chunk of the similarity gemm.
+_GEMM_ROWS = 256
+
+# Threads that run the parts of ``_in_parallel`` besides the calling one; made on first use.
+_pool: ThreadPoolExecutor | None = None
+
+
+def _forget_pool() -> None:
+    """A forked child has none of the parent's threads: it makes its own pool."""
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _in_parallel(work: Callable, parts: list) -> list:
+    """``[work(p) for p in parts]``, the parts split into one contiguous run per CPU.
+
+    The calling thread runs the first run, the pool's workers the others. ``work``
+    calls numpy on its own part only: never ``_in_parallel``, whose nested wait
+    deadlocks a one-worker pool, and never a module name that a tracer may wrap,
+    whose spans would interleave. With one CPU or one part, no thread starts.
+    """
+    global _pool
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    runs = min(cpus, len(parts))
+    if runs <= 1:
+        return [work(p) for p in parts]
+    if _pool is None:
+        _pool = ThreadPoolExecutor(max_workers=cpus - 1, thread_name_prefix="dse-loss")
+    edges = [len(parts) * k // runs for k in range(runs + 1)]
+    run = lambda lo, hi: [work(p) for p in parts[lo:hi]]
+    futures = [_pool.submit(run, lo, hi) for lo, hi in zip(edges[1:-1], edges[2:])]
+    try:
+        first = run(edges[0], edges[1])
+    finally:
+        wait(futures)  # no worker still writes to the caller's arrays when this returns or raises
+    return first + [r for f in futures for r in f.result()]
 
 
 @dataclass(frozen=True)
@@ -133,8 +189,16 @@ def sim_matrix(embeddings: np.ndarray) -> np.ndarray:
     X = embeddings.astype(np.float64)
     norms = np.maximum(np.linalg.norm(X, axis=1, keepdims=True), EPS_NORM)
     U = X / norms
-    S = U @ U.T.copy()  # gemm: numpy sends U @ U.T to syrk, which is slower
-    return np.clip(S, -1.0, 1.0, out=S)
+    UT = U.T.copy()  # gemm: numpy sends U @ U.T to syrk, which is slower
+    n = U.shape[0]
+    S = np.empty((n, n))
+
+    def chunk(rows: slice) -> None:
+        part = np.matmul(U[rows], UT, out=S[rows])
+        np.clip(part, -1.0, 1.0, out=part)
+
+    _in_parallel(chunk, [slice(s, s + _GEMM_ROWS) for s in range(0, n, _GEMM_ROWS)])
+    return S
 
 
 def _add_transpose(w: np.ndarray) -> np.ndarray:
@@ -191,7 +255,9 @@ def compute_alpha(batch: TrainBatch, cfg: LossConfig) -> np.ndarray:
         return alpha
     alpha = sim_matrix(batch.embeddings)
     inv_tau = 1.0 / cfg.temperature
-    for block, diag, pos in _row_blocks(n):
+
+    def weigh(rows: tuple[slice, tuple, tuple]) -> None:
+        block, diag, pos = rows
         a = alpha[block]
         a *= inv_tau
         a[diag] = -np.inf
@@ -199,6 +265,8 @@ def compute_alpha(batch: TrainBatch, cfg: LossConfig) -> np.ndarray:
         a -= a.max(axis=1, keepdims=True)
         np.exp(a, out=a)
         a *= (n - 2) / a.sum(axis=1, keepdims=True)
+
+    _in_parallel(weigh, _row_blocks(n))
     return alpha
 
 
@@ -253,8 +321,10 @@ def batch_loss(
     # over n tau for the mean, which is one row scale 1 / (row_sum n tau). Coefficients
     # below ``_TINY`` in magnitude read +0.0, and the block's occupied columns are kept.
     z_pos = sims[rows, partners] * inv_tau
-    row_max, row_sum, occupied = np.empty(n), np.empty(n), []
-    for block, diag, pos in _row_blocks(n):
+    row_max, row_sum = np.empty(n), np.empty(n)
+
+    def logits(rows: tuple[slice, tuple, tuple]) -> tuple[slice, np.ndarray] | None:
+        block, diag, pos = rows
         w = np.multiply(alphas[block], sims[block], out=sims[block])
         w *= inv_tau
         w[pos] = z_pos[block]
@@ -265,15 +335,18 @@ def batch_loss(
         np.exp(w, out=w, where=~dead)
         np.copyto(w, 0.0, where=dead)
         w.sum(axis=1, out=row_sum[block])
-        if with_grad:
-            scale = 1.0 / (row_sum[block] * (n * tau))
-            q_pos = (w[pos] - row_sum[block]) * scale
-            w *= alphas[block]
-            w *= scale[:, None]
-            w[pos] = q_pos
-            small = np.abs(w) < _TINY
-            np.copyto(w, 0.0, where=small)
-            occupied.append((block, np.flatnonzero(~small.all(axis=0))))
+        if not with_grad:
+            return None
+        scale = 1.0 / (row_sum[block] * (n * tau))
+        q_pos = (w[pos] - row_sum[block]) * scale
+        w *= alphas[block]
+        w *= scale[:, None]
+        w[pos] = q_pos
+        small = np.abs(w) < _TINY
+        np.copyto(w, 0.0, where=small)
+        return block, np.flatnonzero(~small.all(axis=0))
+
+    occupied = _in_parallel(logits, _row_blocks(n))
     loss = float((row_max + np.log(row_sum) - z_pos).sum()) / n
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite batch loss")

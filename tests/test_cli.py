@@ -309,6 +309,18 @@ class TestCommandPlumbing:
         assert "wrote" not in stdout and "Top-1=" not in stdout
         assert list(out.iterdir()) == []
 
+    def test_embed_texts_file_naming_a_directory_refused_before_the_work(self, tmp_path, trained, capsys, monkeypatch):
+        pairs, ckpt = trained
+        monkeypatch.setattr("dse.cli.load_checkpoint", lambda *a: pytest.fail("loaded despite a directory at X.texts"))
+        out = tmp_path / "emb.txt"
+        Path(str(out) + ".texts").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        code, stdout, err = run(["embed", "--ckpt", str(ckpt), "--in", str(pairs), "--out", str(out)], capsys)
+        assert code == 1
+        assert err == f"error: {out}.texts: is a directory\n"
+        assert "wrote" not in stdout
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("command", ["synth", "eval-intent", "eval-rank"])
     def test_negative_seed_named_before_reading(self, tmp_path, capsys, command):
         unread = str(tmp_path / "unread")

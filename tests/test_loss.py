@@ -1,6 +1,10 @@
+import hashlib
 import itertools
 import math
+import os
 import re
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -8,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dse.loss
 from dse.loss import (
     LossConfig,
     TrainBatch,
@@ -17,6 +22,7 @@ from dse.loss import (
     sim_matrix,
     _BLOCK_BYTES,
     _EXP_ZERO_BELOW,
+    _GEMM_ROWS,
     _add_transpose,
     _coefficient_product,
     _partners,
@@ -57,11 +63,17 @@ def scalar_oracle(rows, tau, hard_negatives=True):
     return sum(ell(a) for a in range(n)) / n
 
 
-def reference_sim_matrix(embeddings):
+def unit_rows(embeddings):
     X = embeddings.astype(np.float64)
-    norms = np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
-    U = X / norms
-    return np.clip(U @ U.T.copy(), -1.0, 1.0)
+    return X / np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
+
+
+def reference_sim_matrix(embeddings):
+    """U U^T with the declared kernel: one gemm per ``_GEMM_ROWS`` rows of U, clipped to [-1, 1]."""
+    U = unit_rows(embeddings)
+    UT = U.T.copy()
+    S = np.concatenate([U[s : s + _GEMM_ROWS] @ UT for s in range(0, len(U), _GEMM_ROWS)])
+    return np.clip(S, -1.0, 1.0)
 
 
 def textbook_alpha(embeddings, cfg):
@@ -647,6 +659,42 @@ class TestLossKernels:
         assert not np.any((w != 0.0) & (np.abs(w) < np.finfo(np.float64).tiny))
 
 
+class TestCpuCount:
+    """Rows are split by n alone, and each CPU's thread runs whole parts: the bytes do not
+    depend on how many CPUs there are, and with one CPU no thread starts."""
+
+    @staticmethod
+    def digests(emb):
+        batch, cfg = TrainBatch(emb), LossConfig()
+        loss, grad = batch_loss(batch, cfg, with_grad=True)
+        arrays = (sim_matrix(emb), compute_alpha(batch, cfg), grad)
+        return [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays] + [loss, batch_loss(batch, cfg)[0]]
+
+    @pytest.mark.parametrize("n", [MULTI_BLOCK_N, 2048])
+    @pytest.mark.parametrize("case", ["spread", "peaked"])
+    def test_bytes_do_not_depend_on_the_cpu_count(self, n, case, monkeypatch):
+        rng = np.random.default_rng(28)
+        emb = peaked_rows(rng, n // 2, 64) if case == "peaked" else rng.normal(size=(n, 64)).astype(np.float32)
+        got = {}
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+            monkeypatch.setattr(dse.loss, "_pool", None)
+            threads = set(threading.enumerate())
+            switch = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5 if cpus == 3 else switch)  # 3 threads on fewer cores, swapped often
+            try:
+                got[cpus] = self.digests(emb)
+            finally:
+                sys.setswitchinterval(switch)
+            pool = dse.loss._pool
+            if cpus == 1:
+                assert pool is None and set(threading.enumerate()) == threads
+            else:
+                assert pool._max_workers == cpus - 1 and pool._threads
+                pool.shutdown()
+        assert got[1] == got[2] == got[3]
+
+
 class TestNtxentReference:
     def test_equals_unweighted_batch_loss(self):
         rng = np.random.default_rng(9)
@@ -675,6 +723,13 @@ class TestSimMatrix:
         assert np.allclose(S, S.T)
         assert np.allclose(np.diag(S), 1.0)
         assert S.min() >= -1.0 and S.max() <= 1.0
+
+    @pytest.mark.parametrize("n", [1030, 1500])
+    def test_row_chunks_round_within_float64_of_one_gemm(self, n):
+        # Chunks of U's rows can round unlike one gemm of all of them where n is not a multiple of 8.
+        emb = np.random.default_rng(n).normal(size=(n, 128))
+        U = unit_rows(emb)
+        assert np.abs(sim_matrix(emb) - np.clip(U @ U.T.copy(), -1.0, 1.0)).max() <= 1e-15
 
 
 class TestConfig:

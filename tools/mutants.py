@@ -60,6 +60,12 @@ MUTANTS = [
     ("compacted-drops-transpose", "src/dse/loss.py", "G[cols] += wc.T @ U[block]", "pass"),
     ("occupancy-always-dense", "src/dse/loss.py", "occupied) >= n * n:", "occupied) >= 0:"),
     ("row-scale-misses-n", "src/dse/loss.py", "row_sum[block] * (n * tau)", "row_sum[block] * tau"),
+    ("partition-by-core-count", "src/dse/loss.py",
+     "[slice(s, s + _GEMM_ROWS) for s in range(0, n, _GEMM_ROWS)]",
+     "[slice(s, s + k) for k in [-(-n // len(os.sched_getaffinity(0)))] for s in range(0, n, k)]"),
+    ("worker-skips-clip", "src/dse/loss.py", "np.clip(part, -1.0, 1.0, out=part)",
+     "__import__('threading').current_thread() is __import__('threading').main_thread()"
+     " and np.clip(part, -1.0, 1.0, out=part)"),
     ("rank-ties-for-gold", "src/dse/evaluation.py",
      "np.count_nonzero(sims[1:] >= sims[0])", "np.count_nonzero(sims[1:] > sims[0])"),
     ("f1-empty-label-zero", "src/dse/evaluation.py", "out=np.ones(len(den))", "out=np.zeros(len(den))"),
