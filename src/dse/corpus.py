@@ -170,11 +170,12 @@ def topic_word(topic: int, index: int) -> str:
 
 
 def topic_of_dialogue(d: Dialogue) -> int:
-    """Recover the topic index encoded in a synthetic dialogue's id."""
+    """Recover the topic index encoded in a synthetic dialogue's id ("topic" and ASCII digits)."""
     stem = d.id.split("_", 1)[0]
-    if not stem.startswith("topic"):
+    digits = stem[len("topic"):]
+    if not stem.startswith("topic") or not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"dialogue id {d.id!r} does not encode a topic")
-    return int(stem[len("topic"):])
+    return int(digits)
 
 
 def gen_synthetic(
@@ -192,20 +193,24 @@ def gen_synthetic(
     dynamics alone. Dialogue ids encode the topic ("topic3_d17") for
     downstream labeling. Deterministic for a fixed seed; the pools
     themselves depend only on the topic index, not on the seed.
+
+    Word ids are drawn one topic at a time, in one ``integers`` call, and the
+    corpus is byte-identical to earlier versions' for the same arguments and
+    seed: their per-turn ``rng.choice(pool, words_per_turn)`` is an
+    ``integers(0, len(pool))`` draw, and PCG64 carries its spare 32-bit half
+    from one call to the next, so one draw per topic gives the same ids.
     """
     if min(num_topics, dialogues_per_topic, turns_per_dialogue, words_per_turn) < 1:
         raise ValueError("all counts must be >= 1")
     if words_per_turn < 4:
         raise ValueError("words_per_turn must be >= 4 so turns pass the length filter")
     rng = np.random.default_rng(seed)
+    speakers = [Speaker.USR if ti % 2 == 0 else Speaker.SYS for ti in range(turns_per_dialogue)]
     dialogues = []
     for topic in range(num_topics):
-        pool = [topic_word(topic, j) for j in range(TOPIC_POOL_SIZE)]
-        for di in range(dialogues_per_topic):
-            turns = []
-            for ti in range(turns_per_dialogue):
-                words = rng.choice(pool, size=words_per_turn, replace=True)
-                speaker = Speaker.USR if ti % 2 == 0 else Speaker.SYS
-                turns.append(Turn(speaker=speaker, text=" ".join(words)))
-            dialogues.append(Dialogue(id=f"topic{topic}_d{di}", turns=tuple(turns)))
+        pool = np.array([topic_word(topic, j) for j in range(TOPIC_POOL_SIZE)], dtype=object)
+        draws = rng.integers(0, TOPIC_POOL_SIZE, size=(dialogues_per_topic, turns_per_dialogue, words_per_turn))
+        for di, words in enumerate(pool[draws].tolist()):
+            turns = tuple(Turn(speaker, " ".join(w)) for speaker, w in zip(speakers, words))
+            dialogues.append(Dialogue(id=f"topic{topic}_d{di}", turns=turns))
     return dialogues

@@ -8,16 +8,18 @@ loop, ``_negative_mask`` spells out which entries are negatives, and
 ``tokenize_reference`` splits each text with ``str.split`` and hashes one word
 at a time with a byte-at-a-time FNV-1a, ``pool_rounds`` mean-pools with one
 fancy-indexed update of the unsorted rows per token position,
-``scatter_rows`` adds the embedding-gradient rows with a row-wise ``np.add.at``, and
+``scatter_rows`` adds the embedding-gradient rows with a row-wise ``np.add.at``,
 ``probe_descent`` fits the action probe with a fresh array per step and the
-sigmoid's two branches taken by boolean masks, computing the loss as it goes.
-None of them runs outside the tests.
+sigmoid's two branches taken by boolean masks, computing the loss as it goes,
+and ``reference_gen_synthetic`` draws a synthetic corpus's words with one
+``rng.choice`` per turn. None of them runs outside the tests.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from dse.corpus import TOPIC_POOL_SIZE, Dialogue, Speaker, Turn, topic_word
 from dse.encoder import (NUM_RESERVED, SEP_ID, SYS_ID, USR_ID, EncoderConfig, EncoderModel, ForwardTape,
                          _head, forward_eval)
 from dse.loss import EPS_NORM, LossConfig, TrainBatch, _partners
@@ -151,3 +153,21 @@ def probe_descent(
         W -= lr * dW
         b -= lr * db
     return W, b, losses
+
+
+def reference_gen_synthetic(
+    num_topics: int, dialogues_per_topic: int, turns_per_dialogue: int, words_per_turn: int, seed: int
+) -> list[Dialogue]:
+    """``corpus.gen_synthetic``'s corpus, drawing each turn's words with one ``rng.choice`` of the pool."""
+    rng = np.random.default_rng(seed)
+    dialogues = []
+    for topic in range(num_topics):
+        pool = [topic_word(topic, j) for j in range(TOPIC_POOL_SIZE)]
+        for di in range(dialogues_per_topic):
+            turns = []
+            for ti in range(turns_per_dialogue):
+                words = rng.choice(pool, size=words_per_turn, replace=True)
+                speaker = Speaker.USR if ti % 2 == 0 else Speaker.SYS
+                turns.append(Turn(speaker=speaker, text=" ".join(words)))
+            dialogues.append(Dialogue(id=f"topic{topic}_d{di}", turns=tuple(turns)))
+    return dialogues

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import re
 
@@ -19,6 +21,7 @@ from dse.corpus import (
     save_corpus,
 )
 from dse.encoder import EncoderConfig, tokenize_texts
+from oracles import reference_gen_synthetic
 
 
 def write_lines(path, lines):
@@ -232,6 +235,34 @@ class TestGenSynthetic:
     def test_short_turn_rejected(self):
         with pytest.raises(ValueError):
             gen_synthetic(1, 1, 1, 3, seed=0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 10**6, 2**40])
+    def test_stream_matches_per_turn_choice(self, seed):
+        # one draw per topic must give the ids, speakers and texts of one rng.choice per turn
+        for args in itertools.product([1, 2, 9], [1, 3, 20], [1, 4, 6], [4, 5, 6, 7]):
+            assert gen_synthetic(*args, seed=seed) == reference_gen_synthetic(*args, seed=seed), args
+
+    def test_saved_corpus_bytes_pinned(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(gen_synthetic(8, 52, 6, 6, seed=0), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "dc9fe3e8bfec27d92fb664e40b0ecbdcdd584e97eb683d22f3d29362753d7422")
+
+
+def one_turn_dialogue(did):
+    return Dialogue(id=did, turns=(Turn(Speaker.USR, "a b c d"),))
+
+
+class TestTopicOfDialogue:
+    @pytest.mark.parametrize("did, topic", [("topic3_d17", 3), ("topic12_d0", 12), ("topic0", 0)])
+    def test_reads_the_digits(self, did, topic):
+        assert corpus.topic_of_dialogue(one_turn_dialogue(did)) == topic
+
+    @pytest.mark.parametrize("did", ["topic-1_d0", "topic 3_d1", "topic+3_d1", "topic\u0663_d1", "topic_d1", "dlg3_d1"],
+                             ids=["minus", "space", "plus", "arabic-indic-digit", "no-digits", "no-prefix"])
+    def test_refuses_anything_but_ascii_digits_naming_the_id(self, did):
+        with pytest.raises(ValueError, match=re.escape(repr(did))):
+            corpus.topic_of_dialogue(one_turn_dialogue(did))
 
 
 class TestTypes:

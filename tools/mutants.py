@@ -79,6 +79,11 @@ MUTANTS = [
     ("prototype-start-minus-zero", "src/dse/evaluation.py", "sums = np.zeros(", "sums = -np.zeros("),
     ("multilabel-rows-reversed", "src/dse/evaluation.py", "bits[row_ids,", "bits[row_ids[::-1],"),
     ("tsv-no-data-lines-ok", "src/dse/corpus.py", "if not rows:", "if False:"),
+    ("synth-draw-bound-minus-one", "src/dse/corpus.py",
+     "rng.integers(0, TOPIC_POOL_SIZE,", "rng.integers(0, TOPIC_POOL_SIZE - 1,"),
+    ("synth-speaker-parity-flipped", "src/dse/corpus.py", "Speaker.USR if ti % 2 == 0", "Speaker.USR if ti % 2 == 1"),
+    ("length-filter-three-words", "src/dse/corpus.py", "len(text.split()) >= 4", "len(text.split()) >= 3"),
+    ("self-dedup-no-strip", "src/dse/pairs.py", "dict.fromkeys(t.strip() for", "dict.fromkeys(t for"),
     ("eval-skips-out-write", "src/dse/cli.py", "_write_json_lines(args.out, [report])", "None"),
     ("intent-scores-support", "src/dse/cli.py", "zip(*validation.items)", "zip(*support.items)"),
 ]
