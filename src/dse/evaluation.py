@@ -158,10 +158,13 @@ def detect_oos(
     """
     if len(queries) < 2:
         raise ValueError("need at least 2 queries to form threshold statistics")
+    in_only = cfg.stats_population is StatsPopulation.TEST_IN_ONLY
+    if in_only and gold_is_oos is None:
+        raise ValueError("TEST_IN_ONLY statistics need gold_is_oos")
+    if in_only and len(gold_is_oos) != len(queries):
+        raise ValueError(f"gold_is_oos has {len(gold_is_oos)} items, queries {len(queries)}")
     labels, sims = _max_sims(queries, protos, embedder)
-    if cfg.stats_population is StatsPopulation.TEST_IN_ONLY:
-        if gold_is_oos is None:
-            raise ValueError("TEST_IN_ONLY statistics need gold_is_oos")
+    if in_only:
         pop = sims[~np.array(gold_is_oos)]
         if not pop.size:
             raise ValueError("TEST_IN_ONLY statistics need at least one in-scope query")
@@ -180,8 +183,9 @@ def oos_metrics(gold: list[int], predicted: list[int] | np.ndarray) -> EvalRepor
     correctness of the binary in/out decision. OOS-Recall: flagged
     fraction of gold OOS.
     """
-    if len(gold) != len(predicted):
-        raise ValueError(f"gold has {len(gold)} items, predictions {len(predicted)}")
+    if len(gold) != len(predicted) or not len(gold):
+        raise ValueError(f"gold has {len(gold)} items, predictions {len(predicted)}; "
+                         "they need the same number, at least one")
     gold, pred = np.asarray(gold), np.asarray(predicted)
     gold_oos, flagged = gold == OOS_LABEL, pred == OOS_LABEL
     right = gold == pred
@@ -377,7 +381,7 @@ class EmbeddingFileError(ValueError):
 def load_embeddings(path: str | Path) -> np.ndarray:
     lines = read_lines(path, EmbeddingFileError)
     header = lines[0].split() if lines else []
-    if len(header) != 2 or not all(x.isdecimal() for x in header):
+    if len(header) != 2 or not all(x.isascii() and x.isdigit() for x in header):
         raise EmbeddingFileError(f"{path}: line 1: expected '<n> <dim>', got {' '.join(header)!r}")
     n, dim = (int(x) for x in header)
     rows = []

@@ -35,13 +35,14 @@ the whole-array form; a running total over the blocks would add in another order
 Those row blocks, and the similarity gemm in chunks of ``_GEMM_ROWS`` rows, run on
 every CPU the process may use (``os.sched_getaffinity``): ``_in_parallel`` splits
 the blocks into one contiguous run per CPU, runs the first on the calling thread
-and the others on a module thread pool made at the first batch of more than one
-block. A batch of n <= 256 rows (the CLI default) is one block and one chunk and
-starts no thread, nor does a process with one CPU. The blocks and chunks depend on
-n alone, and each is computed as it would be serially, so the bytes do not depend
-on the CPU count. A worker runs numpy calls on its own rows only: it never calls
-this module's public functions, which a tracer may wrap and whose spans would then
-interleave, and never the pool, whose nested wait would deadlock a one-worker pool.
+and the others on worker threads that live for that pass only, so the module
+holds no threads and no state for a fork or a later call to inherit. A batch of
+n <= 256 rows (the CLI default) is one block and one chunk and starts no thread,
+nor does a process with one CPU. The blocks and chunks depend on n alone, and
+each is computed as it would be serially, so the bytes do not depend on the CPU
+count. A worker runs numpy calls on its own rows only: it never calls this
+module's public functions, which a tracer may wrap and whose spans would then
+interleave.
 
 Because alpha sits in the exponent, almost every term of the log-sum-exp
 underflows. The CPU takes a slow path wherever a result or an operand is
@@ -83,7 +84,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -109,42 +110,24 @@ _BLOCK_BYTES = 512 * 1024
 # Rows of U in one chunk of the similarity gemm.
 _GEMM_ROWS = 256
 
-# Threads that run the parts of ``_in_parallel`` besides the calling one; made on first use.
-_pool: ThreadPoolExecutor | None = None
-
-
-def _forget_pool() -> None:
-    """A forked child has none of the parent's threads: it makes its own pool."""
-    global _pool
-    _pool = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def _in_parallel(work: Callable, parts: list) -> list:
     """``[work(p) for p in parts]``, the parts split into one contiguous run per CPU.
 
-    The calling thread runs the first run, the pool's workers the others. ``work``
-    calls numpy on its own part only: never ``_in_parallel``, whose nested wait
-    deadlocks a one-worker pool, and never a module name that a tracer may wrap,
-    whose spans would interleave. With one CPU or one part, no thread starts.
+    The calling thread runs the first run, and one worker thread each of the others;
+    the workers are started for this call and have all finished when it returns or
+    raises, so none still writes to the caller's arrays. ``work`` calls numpy on its
+    own part only, never a module name that a tracer may wrap, whose spans would
+    interleave. With one CPU or one part, no thread starts.
     """
-    global _pool
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     runs = min(cpus, len(parts))
     if runs <= 1:
         return [work(p) for p in parts]
-    if _pool is None:
-        _pool = ThreadPoolExecutor(max_workers=cpus - 1, thread_name_prefix="dse-loss")
     edges = [len(parts) * k // runs for k in range(runs + 1)]
     run = lambda lo, hi: [work(p) for p in parts[lo:hi]]
-    futures = [_pool.submit(run, lo, hi) for lo, hi in zip(edges[1:-1], edges[2:])]
-    try:
+    with ThreadPoolExecutor(max_workers=runs - 1, thread_name_prefix="dse-loss") as pool:
+        futures = [pool.submit(run, lo, hi) for lo, hi in zip(edges[1:-1], edges[2:])]
         first = run(edges[0], edges[1])
-    finally:
-        wait(futures)  # no worker still writes to the caller's arrays when this returns or raises
     return first + [r for f in futures for r in f.result()]
 
 

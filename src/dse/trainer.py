@@ -10,8 +10,9 @@ step costs what the corpus uses, not ``vocab_size``. A dead row never gets a
 gradient, so it keeps its init bytes and its Adam moments stay +0.0. The run
 state is therefore one ``Checkpoint``, which ``train`` steps in place: the
 compact model and its Adam moments, the sorted live row ids and the init seed.
-``Checkpoint.model``, the dense model, is the init table of that seed with the
-live rows written over it, byte for byte what a dense run gives.
+``Checkpoint.model``, the dense model, is the init table of that seed, drawn
+once, with the live rows written over it at each read: byte for byte what a
+dense run gives, and current after every step.
 
 Checkpoints serialize to a versioned binary format: magic "DSECKPT2", UTF-8
 key=value header (the encoder config, epoch, adam_t, config_digest, init_seed,
@@ -122,11 +123,28 @@ class Checkpoint:
     config_digest: str
 
     @cached_property
+    def _init_table(self) -> np.ndarray:
+        """The dense init table of ``init_seed``, drawn on first use.
+
+        Nothing bounds vocab_size, which sizes it, and under overcommit np.empty takes a table
+        larger than memory: such a table is a CheckpointError before it is allocated, as is one
+        numpy refuses to allocate."""
+        cfg = self.compact.config
+        try:
+            if 4 * cfg.vocab_size * cfg.embed_dim > _physical_memory():
+                raise MemoryError
+            return init_model(cfg, self.init_seed).E
+        except MemoryError:
+            raise CheckpointError(f"checkpoint header: vocab_size={cfg.vocab_size} makes a dense table "
+                                  "too large to allocate") from None
+
+    @property
     def model(self) -> EncoderModel:
         """The dense model: the init table of ``init_seed`` with the live rows written over it.
 
-        Drawn on first use; its head arrays are ``compact``'s."""
-        table = init_model(self.compact.config, self.init_seed).E
+        The rows are written at each read, so it is current after every step; its head arrays are
+        ``compact``'s, and every read shares one table."""
+        table = self._init_table
         table[self.rows] = self.compact.E
         return replace(self.compact, E=table)
 
@@ -229,8 +247,6 @@ def train(
             losses.append(loss_value)
         epoch_losses.append(float(np.mean(losses)))
         run.epoch = epoch + 1
-        if "model" in vars(run):  # a callback drew the dense model; its head arrays are compact's
-            run.model.E[live_rows] = compact.E
         if on_epoch is not None:
             on_epoch(run, epoch_losses)
     return TrainResult(checkpoint=run, epoch_losses=epoch_losses)
@@ -284,8 +300,8 @@ def load_checkpoint(path) -> Checkpoint:
     own. The header must account for the payload's length exactly before any
     array is read, so the file backs every array read from it. The dense
     table is sized by the header's vocab_size and embed_dim, which the file
-    does not bound: a table larger than physical memory is a CheckpointError
-    before it is allocated, as is one numpy refuses to allocate.
+    does not bound: ``Checkpoint.model`` refuses one too large with a
+    CheckpointError, and the load reads it once.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -362,13 +378,5 @@ def load_checkpoint(path) -> Checkpoint:
     ckpt = Checkpoint(compact=compact, rows=rows, init_seed=values["init_seed"],
                       adam=AdamState(m=m, v=v, t=values["adam_t"]), epoch=values["epoch"],
                       config_digest=values["config_digest"])
-    # Nothing in the file bounds vocab_size, which sizes the dense table. Under overcommit np.empty
-    # takes a table larger than memory, so the size is checked before the table is allocated.
-    try:
-        if 4 * cfg.vocab_size * cfg.embed_dim > _physical_memory():
-            raise MemoryError
-        ckpt.model  # expanded here, so a load's time and memory include the init draw
-    except MemoryError:
-        raise CheckpointError(f"checkpoint header: vocab_size={cfg.vocab_size} makes a dense table "
-                              "too large to allocate") from None
+    ckpt.model  # expanded here, so a bad vocab_size fails the load and its time includes the init draw
     return ckpt

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import cli_digests
+import mutants
 from dse.cli import RUN_DEFAULTS, RunConfig, _intent_accuracy, _make_embedder, build_parser, main, run_epoch_study
 from dse.corpus import gen_synthetic, load_corpus, topic_of_dialogue
 from dse.encoder import EncoderConfig
@@ -740,6 +741,10 @@ class TestParser:
     def test_readme_flow_checkpoints_match_pinned_digests(self):
         # tools/cli_digests.py's check; the pins were taken on numpy 2.4.6 and scipy-openblas 0.3.31
         assert cli_digests.digests() == {name: want for name, (_, want) in cli_digests.PINNED.items()}
+
+    def test_each_mutant_fragment_occurs_once_in_its_file(self):
+        for name, rel, old, _ in mutants.MUTANTS:
+            assert (mutants.REPO / rel).read_text().count(old) == 1, name
 
     def test_readme_commands_parse(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

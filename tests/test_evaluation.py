@@ -181,6 +181,12 @@ class TestDetectOOS:
         with pytest.raises(ValueError, match="in-scope"):
             ev.detect_oos(queries, protos, cfg, emb, gold_is_oos=[True] * len(queries))
 
+    def test_in_only_population_gold_of_another_length_named(self):
+        emb, protos, queries = self.setup_instance(np.random.default_rng(5))
+        cfg = ev.OOSConfig(stats_population=ev.StatsPopulation.TEST_IN_ONLY)
+        with pytest.raises(ValueError, match=f"^gold_is_oos has {len(queries) - 1} items, queries {len(queries)}$"):
+            ev.detect_oos(queries, protos, cfg, emb, gold_is_oos=[False] * (len(queries) - 1))
+
     def test_needs_two_queries(self):
         emb, protos, _ = self.setup_instance(np.random.default_rng(6))
         with pytest.raises(ValueError):
@@ -223,6 +229,10 @@ class TestOOSMetrics:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             ev.oos_metrics([0], [])
+
+    def test_empty_input_named(self):
+        with pytest.raises(ValueError, match="^gold has 0 items, predictions 0;"):
+            ev.oos_metrics([], [])
 
 
 def brute_force_hits(queries, golds, pool, vec, n_candidates, seed, k_values):
@@ -613,6 +623,13 @@ class TestReportsAndEmbeddingIO:
     def test_embedding_non_numeric_header_names_line(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("x 2\n1.0 2.0\n")
+        with pytest.raises(ev.EmbeddingFileError, match=f"^{re.escape(str(p))}: line 1: "):
+            ev.load_embeddings(p)
+
+    @pytest.mark.parametrize("header", ["\u0662 2", "2 \u0662"])  # U+0662 is an Arabic-Indic 2
+    def test_embedding_header_takes_ascii_digits_only(self, tmp_path, header):
+        p = tmp_path / "bad.txt"
+        p.write_text(f"{header}\n1.0 2.0\n3.0 4.0\n", encoding="utf-8")
         with pytest.raises(ev.EmbeddingFileError, match=f"^{re.escape(str(p))}: line 1: "):
             ev.load_embeddings(p)
 

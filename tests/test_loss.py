@@ -3,10 +3,13 @@ import itertools
 import math
 import os
 import re
+import signal
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -214,6 +217,19 @@ def count_dense_products(monkeypatch):
 
     monkeypatch.setattr("dse.loss._add_transpose", counted)
     return calls
+
+
+def count_executors(monkeypatch):
+    """Patch ``dse.loss.ThreadPoolExecutor`` to log each executor it makes and return the log."""
+    made = []
+
+    class Counted(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(dse.loss, "ThreadPoolExecutor", Counted)
+    return made
 
 
 def peaked_rows(rng, M, dim, noise=1e-3):
@@ -676,23 +692,65 @@ class TestCpuCount:
         rng = np.random.default_rng(28)
         emb = peaked_rows(rng, n // 2, 64) if case == "peaked" else rng.normal(size=(n, 64)).astype(np.float32)
         got = {}
+        threads = set(threading.enumerate())
+        passes = dse.loss._in_parallel
+
+        def one_pass(work, parts):  # no worker thread outlives the pass that started it
+            out = passes(work, parts)
+            assert set(threading.enumerate()) == threads
+            return out
+
+        monkeypatch.setattr(dse.loss, "_in_parallel", one_pass)
         for cpus in (1, 2, 3):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
-            monkeypatch.setattr(dse.loss, "_pool", None)
-            threads = set(threading.enumerate())
+            executors = count_executors(monkeypatch)
             switch = sys.getswitchinterval()
             sys.setswitchinterval(1e-5 if cpus == 3 else switch)  # 3 threads on fewer cores, swapped often
             try:
                 got[cpus] = self.digests(emb)
             finally:
                 sys.setswitchinterval(switch)
-            pool = dse.loss._pool
             if cpus == 1:
-                assert pool is None and set(threading.enumerate()) == threads
+                assert executors == []
             else:
-                assert pool._max_workers == cpus - 1 and pool._threads
-                pool.shutdown()
+                assert executors and all(e._max_workers == cpus - 1 and e._threads for e in executors)
         assert got[1] == got[2] == got[3]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_runs_the_threaded_loss(self, monkeypatch):
+        # The parent has run a threaded pass before it forks; a child that inherited
+        # threads or state from that pass would hang in its own first pass.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        batch = TrainBatch(np.random.default_rng(31).normal(size=(MULTI_BLOCK_N, 8)))
+
+        def digest():
+            loss, grad = batch_loss(batch, LossConfig(), with_grad=True)
+            return np.float64(loss).tobytes() + hashlib.sha256(grad.tobytes()).digest()
+
+        parent = digest()
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                os.close(read_end)
+                os.write(write_end, digest())
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_end)
+        deadline = time.monotonic() + 60
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read_end)
+            pytest.fail("the forked child's loss did not finish within 60 s")
+        with os.fdopen(read_end, "rb") as fh:
+            child = fh.read()
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+        assert child == parent
 
 
 class TestNtxentReference:

@@ -7,6 +7,7 @@ thread would close out of order; ``Tracer.end`` raises when one does.
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
@@ -31,14 +32,21 @@ def traced():
 
 def test_spans_close_in_order_at_paper_batch(traced, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(dse.loss, "_pool", None)
+    executors = []
+
+    class Counted(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            executors.append(self)
+
+    monkeypatch.setattr(dse.loss, "ThreadPoolExecutor", Counted)
     pairs = [TrainPair(query=f"query {i} about topic {i % 7}", response=f"reply {i} on topic {i % 7}")
              for i in range(2 * 1024)]
     train_cfg = replace(trainer.paper_preset(), epochs=1)
     trainer.train(pairs, EncoderConfig(vocab_size=4096, head_out=128), LossConfig(), train_cfg)
 
-    assert dse.loss._pool._threads  # the loss passes ran on a worker too
-    dse.loss._pool.shutdown()
+    assert any(e._threads for e in executors)  # the loss passes ran on a worker too
+    assert not any(t.is_alive() for e in executors for t in e._threads)
     spans = traced.spans
     tree = SpanTree(spans)
     steps = tree.named("trainer.adam_step")

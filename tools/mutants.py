@@ -22,8 +22,10 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+# The fragment check reads the tree it runs in, where a mutant has replaced its fragment by design.
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
-         "--tb=no", "-rfE"]
+         "--tb=no", "-rfE",
+         "--deselect", "tests/test_cli.py::TestParser::test_each_mutant_fragment_occurs_once_in_its_file"]
 
 # (name, file, exact fragment, replacement); each fragment occurs exactly once in its file.
 MUTANTS = [
@@ -33,7 +35,8 @@ MUTANTS = [
      "rng_seed=[train_cfg.dropout_seed, epoch, step]", "rng_seed=[train_cfg.dropout_seed, step]"),
     ("E-at-lr-head", "src/dse/trainer.py",
      'lr = cfg.lr_backbone if name == "E"', 'lr = cfg.lr_head if name == "E"'),
-    ("epoch-refresh-dropped", "src/dse/trainer.py", "run.model.E[live_rows] = compact.E", "pass"),
+    ("model-skips-live-rows", "src/dse/trainer.py", "table[self.rows] = self.compact.E", "pass"),
+    ("dense-bound-halved", "src/dse/trainer.py", "4 * cfg.vocab_size", "2 * cfg.vocab_size"),
     ("keep-size-one-batch", "src/dse/trainer.py", "if len(b) >= 2]", "if len(b) >= 1]"),
     ("dropout-half-rate", "src/dse/encoder.py",
      "drop1 = (rng.random((n, cfg.embed_dim)) >= p)", "drop1 = (rng.random((n, cfg.embed_dim)) >= p / 2)"),
