@@ -30,6 +30,7 @@ from .trainer import (
     PAPER_HYPERPARAMETERS,
     Checkpoint,
     TrainConfig,
+    check_dense_table,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -294,8 +295,10 @@ def run_epoch_study(
     Both variants train with identical seeds; every epoch's checkpoint is
     scored on 1-shot prototypical intent accuracy over the supplied
     labeled set. Returns one report row per epoch per strategy;
-    deterministic for fixed seeds.
+    deterministic for fixed seeds. Scoring reads each epoch's dense model,
+    so a vocab_size too large for one fails before the first step.
     """
+    check_dense_table(encoder_cfg)
     results: dict[str, list[ev.EvalReport]] = {}
     support, validation = ev.sample_few_shot(intent_set, shots, eval_seed)
 

@@ -33,6 +33,9 @@ Embedder = Callable[[list[str]], np.ndarray]
 
 OOS_LABEL = -1
 
+# Candidate-embedding values one response_ranks block gathers (16 MiB of float32).
+_RANK_BLOCK_VALUES = 1 << 22
+
 
 @dataclass(frozen=True)
 class LabeledSet:
@@ -200,23 +203,28 @@ def oos_metrics(gold: list[int], predicted: list[int] | np.ndarray) -> EvalRepor
     return EvalReport(task="oos_detection", metrics=metrics, support=n)
 
 
-def rank_topk(
+def response_ranks(
     queries: list[str],
     gold_responses: list[str],
     pool: list[str],
     embedder: Embedder,
-    k_values: tuple[int, ...] = (1, 3, 10),
     n_candidates: int = 100,
     seed: int = 0,
-) -> EvalReport:
-    """Top-k-of-N response selection.
+) -> np.ndarray:
+    """Per query, the 1-based rank of its gold response among n_candidates.
 
     Each query ranks its gold response against n_candidates-1 distractors
     sampled without replacement from the pool (entries textually equal to
     the gold are excluded first). Ties rank the gold last.
 
-    Each distinct text of queries, golds and pool is embedded once, in one
-    call, in order of first use.
+    Every query's candidates are drawn first, so a short pool fails before
+    anything is embedded. Then only the distinct texts some query scores
+    (its query, its gold, its distractors) are embedded, each once, in one
+    call, in order of first use in queries, golds and pool; and every query
+    is scored in one pass, in blocks of queries that bound its memory. An
+    embedding row has the same bytes whatever else is in the call, and the
+    broadcast ``cosines`` equals the per-query one, so the ranks do not
+    depend on which texts are embedded or on the blocks.
     """
     if len(queries) != len(gold_responses):
         raise ValueError("queries and gold_responses must be aligned")
@@ -226,20 +234,47 @@ def rank_topk(
         raise ValueError(f"n_candidates must be >= 2, got {n_candidates}")
     rng = np.random.default_rng(seed)
     index = {text: i for i, text in enumerate(dict.fromkeys([*queries, *gold_responses, *pool]))}
-    X = embedder(list(index))
     pool_rows = np.array([index[text] for text in pool], dtype=np.intp)
-    ranks = np.empty(len(queries), dtype=np.intp)
-    for qi, (query, gold) in enumerate(zip(queries, gold_responses)):
-        gold_row = index[gold]
+    n = len(queries)
+    cands = np.empty((n, n_candidates), dtype=np.intp)  # text rows, gold in column 0
+    cands[:, 0] = [index[gold] for gold in gold_responses]
+    for qi, gold_row in enumerate(cands[:, 0]):
         available = np.flatnonzero(pool_rows != gold_row)
         if len(available) < n_candidates - 1:
             raise ValueError(
                 f"pool has {len(available)} usable entries, need {n_candidates - 1}"
             )
-        chosen = available[rng.choice(len(available), size=n_candidates - 1, replace=False)]
-        sims = cosines(X[index[query]], X[np.concatenate(([gold_row], pool_rows[chosen]))])
-        ranks[qi] = 1 + np.count_nonzero(sims[1:] >= sims[0])  # ties pessimistic against gold
-    n = len(queries)
+        cands[qi, 1:] = pool_rows[available[rng.choice(len(available), size=n_candidates - 1, replace=False)]]
+    query_rows = np.array([index[query] for query in queries], dtype=np.intp)
+    scored = np.zeros(len(index), dtype=bool)
+    scored[query_rows] = True
+    scored[cands] = True
+    rows = np.flatnonzero(scored)  # index rows are in order of first use, and so are these
+    texts = list(index)
+    X = embedder([texts[r] for r in rows.tolist()])
+    slot = np.cumsum(scored) - 1  # the row of X that holds each scored text
+    query_slot, cand_slot = slot[query_rows, None], slot[cands]
+    step = max(1, _RANK_BLOCK_VALUES // (n_candidates * X.shape[1]))
+    ranks = np.empty(n, dtype=np.intp)
+    for s in range(0, n, step):
+        sims = cosines(X[query_slot[s : s + step]], X[cand_slot[s : s + step]])
+        ranks[s : s + step] = 1 + np.count_nonzero(sims[:, 1:] >= sims[:, :1], axis=1)  # ties against gold
+    return ranks
+
+
+def rank_topk(
+    queries: list[str],
+    gold_responses: list[str],
+    pool: list[str],
+    embedder: Embedder,
+    k_values: tuple[int, ...] = (1, 3, 10),
+    n_candidates: int = 100,
+    seed: int = 0,
+) -> EvalReport:
+    """Top-k-of-N response selection: per k, the fraction of queries whose gold
+    ranks k or better among n_candidates (``response_ranks``)."""
+    ranks = response_ranks(queries, gold_responses, pool, embedder, n_candidates, seed)
+    n = len(ranks)
     metrics = {f"Top-{k}": int(np.count_nonzero(ranks <= k)) / n for k in k_values}
     return EvalReport(task="response_selection", metrics=metrics, support=n, seed=seed)
 

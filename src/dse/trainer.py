@@ -124,19 +124,13 @@ class Checkpoint:
 
     @cached_property
     def _init_table(self) -> np.ndarray:
-        """The dense init table of ``init_seed``, drawn on first use.
-
-        Nothing bounds vocab_size, which sizes it, and under overcommit np.empty takes a table
-        larger than memory: such a table is a CheckpointError before it is allocated, as is one
-        numpy refuses to allocate."""
+        """The dense init table of ``init_seed``, drawn on first use; ``check_dense_table`` bounds it."""
         cfg = self.compact.config
+        check_dense_table(cfg)
         try:
-            if 4 * cfg.vocab_size * cfg.embed_dim > _physical_memory():
-                raise MemoryError
             return init_model(cfg, self.init_seed).E
         except MemoryError:
-            raise CheckpointError(f"checkpoint header: vocab_size={cfg.vocab_size} makes a dense table "
-                                  "too large to allocate") from None
+            raise ValueError(f"vocab_size={cfg.vocab_size} makes a dense table too large to allocate") from None
 
     @property
     def model(self) -> EncoderModel:
@@ -157,6 +151,16 @@ class TrainResult:
 
 class CheckpointError(ValueError):
     pass
+
+
+def check_dense_table(cfg: EncoderConfig) -> None:
+    """Refuse a vocab_size whose dense table, vocab_size x embed_dim float32, exceeds physical memory.
+
+    Training draws only the live rows, so nothing else bounds vocab_size before a dense model is
+    read, and under overcommit np.empty takes a table larger than memory. The message names the
+    field only; a caller names where the value came from."""
+    if 4 * cfg.vocab_size * cfg.embed_dim > _physical_memory():
+        raise ValueError(f"vocab_size={cfg.vocab_size} makes a dense table too large to allocate")
 
 
 def init_adam_state(model: EncoderModel) -> AdamState:
@@ -300,8 +304,8 @@ def load_checkpoint(path) -> Checkpoint:
     own. The header must account for the payload's length exactly before any
     array is read, so the file backs every array read from it. The dense
     table is sized by the header's vocab_size and embed_dim, which the file
-    does not bound: ``Checkpoint.model`` refuses one too large with a
-    CheckpointError, and the load reads it once.
+    does not bound: one larger than memory is a header error
+    (``check_dense_table``) before any array is read.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -337,6 +341,7 @@ def load_checkpoint(path) -> Checkpoint:
                 if values[key] < 0:
                     raise ValueError(f"{key} must be >= 0, got {values[key]}")
             cfg = EncoderConfig(**{f.name: values[f.name] for f in fields(EncoderConfig)})
+            check_dense_table(cfg)
         except KeyError as exc:
             raise CheckpointError(f"checkpoint header missing field {exc.args[0]!r}") from None
         except ValueError as exc:
@@ -378,5 +383,5 @@ def load_checkpoint(path) -> Checkpoint:
     ckpt = Checkpoint(compact=compact, rows=rows, init_seed=values["init_seed"],
                       adam=AdamState(m=m, v=v, t=values["adam_t"]), epoch=values["epoch"],
                       config_digest=values["config_digest"])
-    ckpt.model  # expanded here, so a bad vocab_size fails the load and its time includes the init draw
+    ckpt.model  # expanded here, so the load's time includes the init draw
     return ckpt

@@ -12,7 +12,9 @@ fancy-indexed update of the unsorted rows per token position,
 ``probe_descent`` fits the action probe with a fresh array per step and the
 sigmoid's two branches taken by boolean masks, computing the loss as it goes,
 and ``reference_gen_synthetic`` draws a synthetic corpus's words with one
-``rng.choice`` per turn. None of them runs outside the tests.
+``rng.choice`` per turn, and ``rank_topk_reference`` embeds every distinct
+text of queries, golds and pool and scores one query at a time. None of them
+runs outside the tests.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from dse.corpus import TOPIC_POOL_SIZE, Dialogue, Speaker, Turn, topic_word
 from dse.encoder import (NUM_RESERVED, SEP_ID, SYS_ID, USR_ID, EncoderConfig, EncoderModel, ForwardTape,
                          _head, forward_eval)
-from dse.loss import EPS_NORM, LossConfig, TrainBatch, _partners
+from dse.loss import EPS_NORM, LossConfig, TrainBatch, _partners, cosines
 
 
 def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
@@ -171,3 +173,26 @@ def reference_gen_synthetic(
                 turns.append(Turn(speaker=speaker, text=" ".join(words)))
             dialogues.append(Dialogue(id=f"topic{topic}_d{di}", turns=tuple(turns)))
     return dialogues
+
+
+def rank_topk_reference(queries, gold_responses, pool, embedder, k_values=(1, 3, 10), n_candidates=100, seed=0):
+    """(per-query ranks, Top-k metrics) of top-k-of-N response selection, one query at a time.
+
+    The same sampling stream as ``evaluation.response_ranks``: one ``rng.choice``
+    per query, in query order, over the pool entries whose text is not the gold.
+    """
+    rng = np.random.default_rng(seed)
+    index = {text: i for i, text in enumerate(dict.fromkeys([*queries, *gold_responses, *pool]))}
+    X = embedder(list(index))
+    pool_rows = np.array([index[text] for text in pool], dtype=np.intp)
+    ranks = np.empty(len(queries), dtype=np.intp)
+    for qi, (query, gold) in enumerate(zip(queries, gold_responses)):
+        gold_row = index[gold]
+        available = np.flatnonzero(pool_rows != gold_row)
+        if len(available) < n_candidates - 1:
+            raise ValueError(f"pool has {len(available)} usable entries, need {n_candidates - 1}")
+        chosen = available[rng.choice(len(available), size=n_candidates - 1, replace=False)]
+        sims = cosines(X[index[query]], X[np.concatenate(([gold_row], pool_rows[chosen]))])
+        ranks[qi] = 1 + np.count_nonzero(sims[1:] >= sims[0])  # ties pessimistic against gold
+    n = len(queries)
+    return ranks, {f"Top-{k}": int(np.count_nonzero(ranks <= k)) / n for k in k_values}

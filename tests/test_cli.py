@@ -1,7 +1,7 @@
 import json
 import re
 import shlex
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +9,7 @@ import pytest
 
 import cli_digests
 import mutants
+from dse import trainer as trainer_mod
 from dse.cli import RUN_DEFAULTS, RunConfig, _intent_accuracy, _make_embedder, build_parser, main, run_epoch_study
 from dse.corpus import gen_synthetic, load_corpus, topic_of_dialogue
 from dse.encoder import EncoderConfig
@@ -657,6 +658,18 @@ class TestEpochStudy:
         acc = _intent_accuracy(support, validation, _make_embedder(load_checkpoint(path)))
         assert rows["consec"][-1].metrics["Accuracy"] == acc
 
+    def test_vocab_size_beyond_memory_fails_before_any_step(self, monkeypatch):
+        dialogues, intent, enc = self.make_inputs()
+        steps = []
+        step = trainer_mod.adam_step
+        monkeypatch.setattr(trainer_mod, "adam_step", lambda *args: steps.append(1) or step(*args))
+        with pytest.raises(ValueError, match="^vocab_size=10000000000000 makes a dense table too large to allocate$"):
+            run_epoch_study(dialogues, replace(enc, vocab_size=10**13), LossConfig(),
+                            TrainConfig(batch_size=16, epochs=2), intent)
+        assert steps == []
+        run_epoch_study(dialogues, enc, LossConfig(), TrainConfig(batch_size=16, epochs=1), intent)
+        assert steps  # the counter sees the steps of a run that trains
+
     def test_cli_output_format(self, tmp_path, corpus_path, capsys):
         data = intent_tsv(tmp_path, corpus_path)
         out = tmp_path / "study.jsonl"
@@ -743,8 +756,9 @@ class TestParser:
         assert cli_digests.digests() == {name: want for name, (_, want) in cli_digests.PINNED.items()}
 
     def test_each_mutant_fragment_occurs_once_in_its_file(self):
-        for name, rel, old, _ in mutants.MUTANTS:
+        for name, rel, old, _, killer in mutants.MUTANTS:
             assert (mutants.REPO / rel).read_text().count(old) == 1, name
+            assert killer is None or (mutants.REPO / killer.split("::")[0]).is_file(), name
 
     def test_readme_commands_parse(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -8,7 +8,7 @@ import pytest
 from dse import evaluation as ev
 from dse.encoder import EncoderConfig, embed_texts, init_model
 from oracles import _sigmoid as masked_sigmoid
-from oracles import cosine_sim, probe_descent, probe_loss_and_grad
+from oracles import cosine_sim, probe_descent, probe_loss_and_grad, rank_topk_reference
 
 
 def dict_embedder(table, dim):
@@ -252,6 +252,16 @@ def brute_force_hits(queries, golds, pool, vec, n_candidates, seed, k_values):
     return {f"Top-{k}": hits[k] / len(queries) for k in k_values}
 
 
+def scored_texts(queries, golds, pool, n_candidates, seed):
+    """The texts rank_topk scores: every query and gold, and the distractors the same stream draws."""
+    check_rng = np.random.default_rng(seed)
+    scored = set(queries) | set(golds)
+    for gold in golds:
+        available = [t for t in pool if t != gold]
+        scored.update(available[c] for c in check_rng.choice(len(available), size=n_candidates - 1, replace=False))
+    return scored
+
+
 class TestRankTopk:
     def make_pool(self, rng, n):
         table = {f"resp{i}": rng.normal(size=5) for i in range(n)}
@@ -310,15 +320,77 @@ class TestRankTopk:
         assert vals == sorted(vals)
         assert vals[-1] == 1.0
 
-    def test_embeds_each_distinct_text_once_in_one_call(self):
+    def test_embeds_each_scored_text_once_in_one_call_in_order_of_first_use(self):
         table = self.make_pool(np.random.default_rng(14), 30)
         calls = []
         emb = dict_embedder(table, 5)
         queries = [f"q{i}" for i in range(10)]
-        pool = [f"resp{i}" for i in range(30)]
-        ev.rank_topk(queries, [f"resp{i}" for i in range(10)], pool,
-                     lambda texts: calls.append(list(texts)) or emb(texts), n_candidates=20)
-        assert calls == [queries + pool]
+        golds = [f"resp{i}" for i in range(10)]
+        pool = [f"resp{i}" for i in range(30)] * 2
+        ev.rank_topk(queries, golds, pool, lambda texts: calls.append(list(texts)) or emb(texts),
+                     n_candidates=6, seed=4)
+        scored = scored_texts(queries, golds, pool, 6, 4)
+        assert calls == [[t for t in dict.fromkeys(queries + golds + pool) if t in scored]]
+        assert len(calls[0]) < len(set(queries + pool))
+
+    def test_pool_far_larger_than_the_sample_embeds_only_the_sample(self):
+        table = self.make_pool(np.random.default_rng(17), 500)
+        calls = []
+        emb = dict_embedder(table, 5)
+        pool = [f"resp{i}" for i in range(500)]
+        report = ev.rank_topk(["q0", "q1"], ["resp0", "resp1"], pool,
+                              lambda texts: calls.append(list(texts)) or emb(texts), k_values=(1, 5), n_candidates=5)
+        assert len(calls) == 1 and len(calls[0]) <= 12
+        assert calls[0][:4] == ["q0", "q1", "resp0", "resp1"]
+        assert report.metrics["Top-5"] == 1.0
+
+    def test_short_pool_for_a_later_query_fails_before_embedding(self):
+        # the second query's gold fills the pool, so only 3 distractors are left for it
+        calls = []
+        pool = ["a", "b", "c", "x", "x", "x", "x"]
+        with pytest.raises(ValueError, match="^pool has 3 usable entries, need 4$"):
+            ev.rank_topk(["q0", "q1", "q2"], ["a", "x", "b"], pool, lambda texts: calls.append(texts),
+                         n_candidates=5)
+        assert calls == []
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("k_values, n_candidates", [((1,), 2), ((1, 3, 10), 12), ((1, 5, 20, 40), 40)])
+    def test_ranks_equal_the_per_query_reference_on_a_model(self, seed, k_values, n_candidates):
+        # repeated texts within and across the lists, and upper-case copies of golds that
+        # tokenize to the gold's bytes and tie with it
+        model = init_model(EncoderConfig(vocab_size=1000, embed_dim=16), seed=seed)
+        rng = np.random.default_rng(100 + seed)
+        words = [f"w{i}" for i in range(60)]
+        sentences = [" ".join(rng.choice(words, size=n)) for n in rng.integers(1, 9, size=80)]
+        queries = [sentences[i] for i in rng.integers(0, 80, size=50)]
+        golds = [sentences[i] for i in rng.integers(0, 80, size=50)]
+        pool = [sentences[i] for i in rng.integers(0, 80, size=120)] + [g.upper() for g in golds[:10]]
+
+        def embedder(texts):
+            return embed_texts(model, texts)
+
+        want_ranks, want_metrics = rank_topk_reference(queries, golds, pool, embedder, k_values, n_candidates, seed)
+        ranks = ev.response_ranks(queries, golds, pool, embedder, n_candidates, seed)
+        report = ev.rank_topk(queries, golds, pool, embedder, k_values, n_candidates, seed)
+        assert ranks.tolist() == want_ranks.tolist()
+        assert report.metrics == want_metrics
+        assert (want_ranks > 1).any() and (want_ranks < n_candidates).any()
+
+    @pytest.mark.parametrize("block_values", [1, 16 * 12 * 2, 16 * 12 * 7])
+    def test_ranks_do_not_depend_on_the_query_blocks(self, monkeypatch, block_values):
+        model = init_model(EncoderConfig(vocab_size=1000, embed_dim=16), seed=3)
+        rng = np.random.default_rng(18)
+        words = [f"w{i}" for i in range(60)]
+        sentences = [" ".join(rng.choice(words, size=n)) for n in rng.integers(1, 9, size=60)]
+        queries = sentences[:25]
+        golds = sentences[25:50]
+
+        def embedder(texts):
+            return embed_texts(model, texts)
+
+        want, _ = rank_topk_reference(queries, golds, sentences, embedder, (1,), 12, 2)
+        monkeypatch.setattr(ev, "_RANK_BLOCK_VALUES", block_values)
+        assert ev.response_ranks(queries, golds, sentences, embedder, 12, 2).tolist() == want.tolist()
 
     def test_golds_as_pool_on_a_model_equal_each_text_embedded_alone(self):
         # the form `dse eval-rank` uses: the pool is the golds, and texts repeat across and within lists

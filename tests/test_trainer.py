@@ -261,6 +261,13 @@ class TestTrain:
             assert group.E.shape == (len(ckpt.rows), ENC.embed_dim)
         assert ckpt.model.E.shape == (ENC.vocab_size, ENC.embed_dim)  # the dense model is a view of them
 
+    def test_trained_checkpoint_beyond_memory_refused_without_header_words(self):
+        # train draws only the live rows, so it takes any vocab_size; the dense model names the field alone
+        big = replace(ENC, vocab_size=10**13)
+        ckpt = train(make_pairs(8), big, LossConfig(), TrainConfig(batch_size=8, epochs=1)).checkpoint
+        with pytest.raises(ValueError, match="^vocab_size=10000000000000 makes a dense table too large to allocate$"):
+            ckpt.model
+
     def test_one_step_per_epoch(self):
         pairs = make_pairs(8)
         cfg = TrainConfig(batch_size=8, epochs=1)
