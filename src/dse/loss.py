@@ -61,11 +61,10 @@ of the columns. Each block records those columns. When they cover less than half
 of the n x n array, ``_coefficient_product`` builds G = (w + w^T) U from them
 alone, block by block: w[block, cols] U[cols] into the block's rows, and the
 transpose's part w[block, cols]^T U[block] into the rows ``cols``. Otherwise
-(batch 128, hard_negatives off, a short last batch) w + w^T is added in place in
-``_TILE`` x ``_TILE`` tile pairs, byte-equal to a fresh ``w + w.T`` without the
-strided read across the array, and multiplied by U in one gemm. The selection
-reads only the coefficients. The logits overwrite the similarity array, so no
-third n x n array is made.
+(batch 128, hard_negatives off, a short last batch) G is one gemm of a fresh
+w + w^T. The selection reads only the coefficients. The logits overwrite the
+similarity array, and alpha is freed before the product, so at most two n x n
+arrays are alive at once.
 
 These kernels round differently from the textbook form, a declared change of
 bytes, for speed: ``sim_matrix`` multiplies each chunk of U's rows by a copy of
@@ -100,9 +99,6 @@ _EXP_ZERO_BELOW = -708.3964185322641
 
 # The smallest normal float64: gradient coefficients below it in magnitude read +0.0.
 _TINY = np.finfo(np.float64).tiny
-
-# Side of the square tiles in which ``_add_transpose`` adds w^T to w.
-_TILE = 64
 
 # Bytes of float64 rows in one block of the row-wise n x n passes: a block stays in L2 across them.
 _BLOCK_BYTES = 512 * 1024
@@ -152,10 +148,6 @@ class TrainBatch:
         if n % 2 != 0 or n < 4:
             raise ValueError(f"batch needs an even row count >= 4, got {n}")
 
-    @property
-    def M(self) -> int:
-        return self.embeddings.shape[0] // 2
-
 
 def cosines(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Cosine similarity over the last axis, broadcast over the others. It equals the per-pair
@@ -167,11 +159,17 @@ def cosines(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.clip(dots / (na * nb).astype(dots.dtype), -1.0, 1.0)
 
 
+def _unit_rows(embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(U, norms): the rows in 64-bit over their norms, and the norms as a column, floored at ``EPS_NORM``."""
+    U = embeddings.astype(np.float64)
+    norms = np.maximum(np.linalg.norm(U, axis=1, keepdims=True), EPS_NORM)
+    U /= norms
+    return U, norms
+
+
 def sim_matrix(embeddings: np.ndarray) -> np.ndarray:
     """All pairwise cosine similarities, 64-bit, clamped to [-1, 1]."""
-    X = embeddings.astype(np.float64)
-    norms = np.maximum(np.linalg.norm(X, axis=1, keepdims=True), EPS_NORM)
-    U = X / norms
+    U, _ = _unit_rows(embeddings)
     UT = U.T.copy()  # gemm: numpy sends U @ U.T to syrk, which is slower
     n = U.shape[0]
     S = np.empty((n, n))
@@ -182,23 +180,6 @@ def sim_matrix(embeddings: np.ndarray) -> np.ndarray:
 
     _in_parallel(chunk, [slice(s, s + _GEMM_ROWS) for s in range(0, n, _GEMM_ROWS)])
     return S
-
-
-def _add_transpose(w: np.ndarray) -> np.ndarray:
-    """Overwrite the square ``w`` with ``w + w.T`` and return it, tile pair by tile pair.
-
-    Equal to ``w + w.T`` byte for byte (each entry is one add, and x + y == y + x)
-    without the fresh n x n array and the strided read across all of it.
-    """
-    n = w.shape[0]
-    for i in range(0, n, _TILE):
-        for j in range(i, n, _TILE):
-            a = w[i : i + _TILE, j : j + _TILE]
-            b = w[j : j + _TILE, i : i + _TILE]
-            s = a + b.T
-            a[...] = s
-            b[...] = s.T
-    return w
 
 
 def _partners(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -258,12 +239,12 @@ def _coefficient_product(w: np.ndarray, U: np.ndarray, occupied: list[tuple[slic
 
     When the blocks' occupied columns cover less than half of w, G is built block by block
     from those columns alone, as ``w[block, cols] @ U[cols]`` plus its transpose's part
-    ``w[block, cols]^T @ U[block]`` into the rows ``cols``. Otherwise w is overwritten
-    with w + w^T and multiplied by U in one gemm.
+    ``w[block, cols]^T @ U[block]`` into the rows ``cols``. Otherwise it is one gemm of a
+    fresh w + w^T.
     """
     n = w.shape[0]
     if 2 * sum((b.stop - b.start) * len(cols) for b, cols in occupied) >= n * n:
-        return _add_transpose(w) @ U
+        return (w + w.T) @ U
     G = np.zeros_like(U)
     for block, cols in occupied:
         wc = w[block, cols]
@@ -339,9 +320,7 @@ def batch_loss(
     del alphas  # frees a computed weight array: each n x n array is 32 MiB at batch 1024
     # Chain through cosine: with unit rows u_a, s_ab = u_a . u_b and
     # d s_ab / d e_a = (u_b - s_ab u_a) / ||e_a||: G_a's part orthogonal to u_a.
-    X = batch.embeddings.astype(np.float64)
-    norms = np.maximum(np.linalg.norm(X, axis=1, keepdims=True), EPS_NORM)
-    U = X / norms
+    U, norms = _unit_rows(batch.embeddings)
     G = _coefficient_product(sims, U, occupied)
     grad = (G - np.vecdot(U, G)[:, None] * U) / norms
     return loss, grad

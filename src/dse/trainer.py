@@ -301,7 +301,8 @@ def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint, each array straight from the file into its own buffer, and expand its dense model.
 
     No second copy of the payload is made, and each array can be freed on its
-    own. The header must account for the payload's length exactly before any
+    own. Each header line must be ``key=value`` with a known key, given once,
+    and the header must account for the payload's length exactly before any
     array is read, so the file backs every array read from it. The dense
     table is sized by the header's vocab_size and embed_dim, which the file
     does not bound: one larger than memory is a header error
@@ -334,7 +335,13 @@ def load_checkpoint(path) -> Checkpoint:
         try:  # a header that is not UTF-8 is a ValueError too
             header: dict[str, str] = {}
             for line in b"".join(lines).decode("utf-8").splitlines():
-                key, _, value = line.partition("=")
+                key, sep, value = line.partition("=")
+                if not sep:
+                    raise ValueError(f"line {line!r} has no '='")
+                if key not in _HEADER_TYPES:
+                    raise ValueError(f"unknown field {key!r}")
+                if key in header:
+                    raise ValueError(f"field {key!r} repeated")
                 header[key] = value
             values = {key: parse_value(key, typ, header[key]) for key, typ in _HEADER_TYPES.items()}
             for key in ("epoch", "adam_t", "init_seed", "live_rows"):

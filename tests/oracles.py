@@ -52,7 +52,7 @@ def ntxent_reference(batch: TrainBatch, cfg: LossConfig) -> float:
 
     X = batch.embeddings
     n = X.shape[0]
-    M = batch.M
+    M = n // 2
     total = 0.0
     for a in range(n):
         p = (a + M) % n

@@ -26,8 +26,6 @@ from dse.loss import (
     _BLOCK_BYTES,
     _EXP_ZERO_BELOW,
     _GEMM_ROWS,
-    _add_transpose,
-    _coefficient_product,
     _partners,
     _row_blocks,
 )
@@ -207,15 +205,18 @@ MULTI_BLOCK_N = next(n for n in itertools.count(4 * math.isqrt(_BLOCK_BYTES // 8
 
 
 def count_dense_products(monkeypatch):
-    """Patch ``dse.loss._add_transpose`` to log its calls and return the log. A ``batch_loss``
-    gradient calls it once on the dense side of the gradient product, never on the compacted side."""
+    """Wrap ``dse.loss._coefficient_product`` to log each call that takes the dense side, and return
+    the log. That side runs when the row blocks' occupied columns cover at least half of w, the rule
+    ``reference_loss_and_grad`` spells out; a ``batch_loss`` gradient makes one product."""
     calls = []
+    product = dse.loss._coefficient_product
 
-    def counted(w):
-        calls.append(w.shape)
-        return _add_transpose(w)
+    def counted(w, U, occupied):
+        if 2 * sum((b.stop - b.start) * len(cols) for b, cols in occupied) >= w.size:
+            calls.append(w.shape)
+        return product(w, U, occupied)
 
-    monkeypatch.setattr("dse.loss._add_transpose", counted)
+    monkeypatch.setattr(dse.loss, "_coefficient_product", counted)
     return calls
 
 
@@ -502,9 +503,9 @@ class TestGradientGeometry:
 
 
 class TestAgainstReference:
-    """``batch_loss`` builds the logits in the sims array, skips the exps that
-    underflow and adds w.T in place; the loss and gradient must stay byte-equal
-    to the whole-array reference, and frozen ``alphas`` must stay as given."""
+    """``batch_loss`` builds the logits in the sims array and skips the exps that
+    underflow; the loss and gradient must stay byte-equal to the whole-array
+    reference, and frozen ``alphas`` must stay as given."""
 
     @staticmethod
     def assert_equal_to_reference(embeddings, cfg, alphas=None):
@@ -604,18 +605,6 @@ class TestDeclaredKernels:
 
 
 class TestLossKernels:
-    @pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 130, 200])
-    def test_add_transpose_equals_w_plus_wt_byte_for_byte(self, n):
-        rng = np.random.default_rng(n)
-        w = rng.normal(size=(n, n)) * rng.choice([1e-300, 1.0, 1e300], size=(n, n))
-        w[rng.random((n, n)) < 0.2] = 0.0
-        w[rng.random((n, n)) < 0.2] = -0.0
-        w[: n // 2, : n // 2] = -0.0  # both terms -0.0: the sum keeps the sign
-        want = (w + w.T).tobytes()
-        out = _add_transpose(w)
-        assert out is w
-        assert w.tobytes() == want
-
     def test_exp_limit_is_the_normal_boundary(self):
         # exp is normal at and above the limit and subnormal or +0.0 below it, one ulp on either side.
         tiny = np.finfo(np.float64).tiny
@@ -661,11 +650,12 @@ class TestLossKernels:
         else:
             emb = peaked_rows(np.random.default_rng(27), MULTI_BLOCK_N // 2, 32, noise=1.0)
         dense = count_dense_products(monkeypatch)
+        counted = dse.loss._coefficient_product
         seen = []
 
         def product(w, U, occupied):
             seen.append(w.copy())
-            return _coefficient_product(w, U, occupied)
+            return counted(w, U, occupied)
 
         monkeypatch.setattr("dse.loss._coefficient_product", product)
         batch_loss(TrainBatch(emb), LossConfig(), with_grad=True)

@@ -430,17 +430,20 @@ class TestCheckpointIO:
         assert loaded.model.E.tobytes() == ckpt.model.E.tobytes()
 
     def test_header_terminator_across_read_chunks(self, tmp_path):
-        # the blank line that ends the header falls at every offset around a 4096-byte read boundary
+        # the blank line that ends the header falls at every offset around a 4096-byte read boundary;
+        # leading zeros pad the epoch line and leave its value as it was
         p = tmp_path / "m.ckpt"
         save_checkpoint(self.make_checkpoint(), p)
         data = p.read_bytes()
         end = data.index(b"\n\n")
         want = load_checkpoint(p)
         for shift in range(-3, 4):
-            pad = 4096 + len(CHECKPOINT_MAGIC) - end - len(b"\npad=") + shift
+            pad = 4096 + len(CHECKPOINT_MAGIC) - end + shift
             q = tmp_path / "padded.ckpt"
-            q.write_bytes(data[:end] + b"\npad=" + b"x" * pad + data[end:])
+            q.write_bytes(data.replace(b"\nepoch=", b"\nepoch=" + b"0" * pad, 1))
+            assert q.read_bytes().index(b"\n\n") == 4096 + len(CHECKPOINT_MAGIC) + shift
             got = load_checkpoint(q)
+            assert got.epoch == want.epoch
             assert state_bytes(got.model, got.adam) == state_bytes(want.model, want.adam)
 
     @pytest.mark.parametrize("edit, message", [
@@ -549,6 +552,16 @@ class TestCheckpointIO:
             key + value if line.startswith(key) else line for line in header.split(b"\n"))
         p = self.rewrite_header(tmp_path, edit)
         with pytest.raises(CheckpointError, match=f"^checkpoint header: {field} must be"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("line, message", [
+        pytest.param(b"epoch=7", "field 'epoch' repeated", id="repeated"),  # would load as epoch 7
+        pytest.param(b"epochs=3", "unknown field 'epochs'", id="unknown"),
+        pytest.param(b"garbage line", "line 'garbage line' has no '='", id="no-equals"),
+    ])
+    def test_malformed_header_line_named(self, tmp_path, line, message):
+        p = self.rewrite_header(tmp_path, lambda header: header + b"\n" + line)
+        with pytest.raises(CheckpointError, match=f"^checkpoint header: {message}$"):
             load_checkpoint(p)
 
     def test_vocab_size_too_large_to_expand_named(self, tmp_path):

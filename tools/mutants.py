@@ -5,9 +5,11 @@ the test that last killed it. The runner copies the working tree into a
 temporary directory, applies the mutant there and runs that test first, with
 ``-x``. Only if it passes (or no killer is stored) does the whole tier-1 suite
 run. It prints a kill matrix: one row per mutant, with its killing test
-(the fastest that failed), whether that was the stored one, the number of
-failing tests when the suite ran, and the seconds taken. A mutant that no
-test fails "survived": some behaviour it changes is pinned by no test.
+(the fastest that failed), where the kill came from (``stored``: the stored
+killer; ``stale``: the stored killer ran and did not kill, so the suite ran;
+``suite``: no killer is stored), the number of failing tests when the suite
+ran, and the seconds taken. A mutant that no test fails "survived": some
+behaviour it changes is pinned by no test.
 
     python tools/mutants.py                 # every mutant (seconds each when the stored killer kills)
     python tools/mutants.py adam-eps ...    # the named mutants only
@@ -52,6 +54,15 @@ MUTANTS = [
      "tests/test_trainer.py::TestCheckpointIO::test_vocab_size_beyond_physical_memory_named_before_allocation"),
     ("epoch-study-no-dense-check", "src/dse/cli.py", "check_dense_table(encoder_cfg)", "None",
      "tests/test_cli.py::TestEpochStudy::test_vocab_size_beyond_memory_fails_before_any_step"),
+    ("header-line-without-equals", "src/dse/trainer.py", "if not sep:", "if False:",
+     "tests/test_trainer.py::TestCheckpointIO::test_malformed_header_line_named[no-equals]"),
+    ("header-unknown-field", "src/dse/trainer.py", "if key not in _HEADER_TYPES:", "if False:",
+     "tests/test_trainer.py::TestCheckpointIO::test_malformed_header_line_named[unknown]"),
+    ("header-field-repeated", "src/dse/trainer.py", "if key in header:", "if False:",
+     "tests/test_trainer.py::TestCheckpointIO::test_malformed_header_line_named[repeated]"),
+    ("rows-repeat-allowed", "src/dse/trainer.py", "rows[1:] <= rows[:-1]", "rows[1:] < rows[:-1]",
+     "tests/test_trainer.py::TestCheckpointIO::test_bad_rows_named"
+     "[1-first-^checkpoint rows: not strictly increasing at index 1 ]"),
     ("keep-size-one-batch", "src/dse/trainer.py", "if len(b) >= 2]", "if len(b) >= 1]",
      "tests/test_trainer.py::TestMakeBatches::test_size_one_remainder_dropped"),
     ("dropout-half-rate", "src/dse/encoder.py",
@@ -61,7 +72,7 @@ MUTANTS = [
      "tests/test_encoder.py::TestInit::test_embedding_bounds"),
     ("init-no-last-partial-block", "src/dse/encoder.py",
      "range(0, len(rows), _INIT_BLOCK_ROWS)", "range(0, len(rows) - _INIT_BLOCK_ROWS + 1, _INIT_BLOCK_ROWS)",
-     "tests/test_cli.py::TestEpochStudy::test_one_row_per_epoch_per_strategy"),
+     "tests/test_encoder.py::TestInit::test_block_draw_is_the_whole_draw_byte_for_byte[1025]"),
     ("init-run-advance-one-row-on", "src/dse/encoder.py",
      "bitgen.advance((int(part[lo]) - done) * d)", "bitgen.advance((int(part[lo]) + 1 - done) * d)",
      "tests/test_encoder.py::TestInit::test_block_draw_is_the_whole_draw_byte_for_byte[1]"),
@@ -69,7 +80,7 @@ MUTANTS = [
      "tests/test_encoder.py::TestInit::test_live_rows_are_those_rows_of_the_whole_draw"),
     ("init-drops-last-run", "src/dse/encoder.py",
      "zip(edges[:-1], edges[1:])", "zip(edges[:-2], edges[1:-1])",
-     "tests/test_acceptance.py::test_criterion_10_persistence"),
+     "tests/test_encoder.py::TestInit::test_block_draw_is_the_whole_draw_byte_for_byte[1]"),
     ("scatter-reversed-index", "src/dse/encoder.py", "np.arange(d)", "np.arange(d)[::-1]",
      "tests/test_encoder.py::TestBackward::test_flat_scatter_of_one_id_repeated_is_the_row_scatter[float32]"),
     ("space-table-no-1c", "src/dse/encoder.py", r"\x1c\x1d", r"\x1d",
@@ -85,6 +96,8 @@ MUTANTS = [
      "tests/test_encoder.py::TestForward::test_pool_is_per_row_mean_byte_for_byte[float32]"),
     ("longest-first-16-bit-key", "src/dse/encoder.py", "np.min_scalar_type(top)", "np.uint16",
      "tests/test_encoder.py::TestTokenizerOracle::test_ids_and_lengths_equal_the_oracle"),
+    ("dense-side-drops-transpose", "src/dse/loss.py", "(w + w.T) @ U", "(w + w) @ U",
+     "tests/test_loss.py::TestBatchLoss::test_embedding_gradient_fd"),
     ("row-block-drops-last-row", "src/dse/loss.py", "e = min(s + step, n)", "e = min(s + step - 1, n)",
      "tests/test_loss.py::TestAgainstReference::test_random_batches[False-256]"),
     ("row-block-partner-is-row", "src/dse/loss.py", "(local, partners[s:e])", "(local, rows[s:e])",
@@ -96,7 +109,7 @@ MUTANTS = [
     ("compacted-drops-transpose", "src/dse/loss.py", "G[cols] += wc.T @ U[block]", "pass",
      "tests/test_loss.py::TestBatchLoss::test_embedding_gradient_fd"),
     ("occupancy-always-dense", "src/dse/loss.py", "occupied) >= n * n:", "occupied) >= 0:",
-     "tests/test_loss.py::TestDeclaredKernels::test_gradient_matches_the_textbook_form[peaked-False]"),
+     "tests/test_loss.py::TestAgainstReference::test_many_row_blocks[True]"),
     ("row-scale-misses-n", "src/dse/loss.py", "row_sum[block] * (n * tau)", "row_sum[block] * tau",
      "tests/test_loss.py::TestBatchLoss::test_embedding_gradient_fd"),
     ("partition-by-core-count", "src/dse/loss.py",
@@ -172,16 +185,17 @@ def run_tier1(root: Path) -> list[str]:
     return failed or ([] if code == 0 else [f"<pytest exit {code}>"])
 
 
-def kill(root: Path, killer: str | None) -> tuple[list[str], bool]:
-    """(failing test ids, whether they come from the stored killer alone).
+def kill(root: Path, killer: str | None) -> tuple[list[str], str]:
+    """(failing test ids, where they come from: "stored", "stale" or "suite").
 
     The stored killer runs first, with ``-x``; the whole suite runs only if it
-    passes. A killer that no longer exists fails nothing, so the suite runs."""
+    passes, and the stored killer is then stale. A killer that no longer exists
+    fails nothing, so it is stale too."""
     if killer:
         failed, _ = failing_tests(root, "-x", killer)
         if failed:
-            return failed, True
-    return run_tier1(root), False
+            return failed, "stored"
+    return run_tier1(root), "stale" if killer else "suite"
 
 
 def main(names: list[str]) -> int:
@@ -210,14 +224,14 @@ def main(names: list[str]) -> int:
             path.write_text(source.replace(old, new))
             began = time.perf_counter()
             try:
-                failed, stored = kill(root, killer)
+                failed, source_of_kill = kill(root, killer)
             finally:
                 path.write_text(source)
             survivors += not failed
-            if failed and not stored:
+            if failed and source_of_kill != "stored":
                 new_killers.append((name, failed[0]))
-            print(f"{name:<28} {'killed' if failed else 'SURVIVED':<9} {'stored' if stored else 'suite':<7} "
-                  f"{'-' if stored else len(failed):>6} {time.perf_counter() - began:>6.1f}  "
+            print(f"{name:<28} {'killed' if failed else 'SURVIVED':<9} {source_of_kill:<7} "
+                  f"{'-' if source_of_kill == 'stored' else len(failed):>6} {time.perf_counter() - began:>6.1f}  "
                   f"{failed[0] if failed else '-'}", flush=True)
     print(f"wall time {time.perf_counter() - start:.0f} s, {survivors} survived")
     for name, test in new_killers:
